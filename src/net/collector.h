@@ -2,14 +2,15 @@
 #define ROBUST_SAMPLING_NET_COLLECTOR_H_
 
 #include <errno.h>
-#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -33,10 +34,11 @@ namespace net {
 
 // ---------------------------------------------------------------------------
 // Collector: the aggregation-tier service. Accepts N shipper connections,
-// revives every shipped "RSNP" snapshot through SketchRegistry<T>, folds
-// the per-shipper *latest* snapshots into one merged sketch, and serves
-// the erased query surface (Quantile / HeavyHitters / EstimateFrequency)
-// over the same protocol.
+// revives every shipped "RSNP" snapshot through SketchRegistry<T> once, at
+// accept, keeps the revived sketch beside its frame, folds the per-shipper
+// *latest* sketches into one merged sketch, and serves the erased query
+// surface (Quantile / HeavyHitters / EstimateFrequency) over the same
+// protocol.
 //
 // Correctness under failure rests on two invariants:
 //
@@ -47,11 +49,12 @@ namespace net {
 //    contribution — nothing is ever double-counted, at worst the merge is
 //    stale by one outage.
 //  * Checkpoints persist the raw per-shipper frames (each internally
-//    checksummed) via the same write-tmp / fsync / rename / fsync-parent
-//    protocol as ShardedPipeline::Checkpoint, so a kill -9 at any moment
-//    leaves either the previous or the new complete checkpoint on disk.
-//    A restarted collector restores the exact per-shipper state and
-//    answers queries identically.
+//    checksummed) through wire::AtomicWriteFile, so a kill -9 at any
+//    moment leaves either the previous or the new complete checkpoint on
+//    disk. A ship is acked only once a checkpoint covering it is durable
+//    (group commit: ships that arrive during one write share the next),
+//    so a restarted collector restores every acked ship and answers
+//    queries identically.
 //
 // Malformed input never propagates: a frame or snapshot that fails to
 // parse is counted (rs_net_collector_rejects_total), flight-recorded, the
@@ -60,20 +63,6 @@ namespace net {
 // ---------------------------------------------------------------------------
 
 namespace internal {
-
-/// fsync on the directory containing `path` so a rename into it is
-/// durable (same dance as ShardedPipeline's checkpoint, which keeps the
-/// helper private).
-inline void SyncParentDirectory(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash == 0 ? 1 : slash);
-  const int fd = open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return;
-  fsync(fd);
-  close(fd);
-}
 
 inline constexpr char kCollectorCheckpointMagic[4] = {'R', 'N', 'C', 'K'};
 
@@ -153,14 +142,7 @@ class Collector {
     if (accept_thread_.joinable()) accept_thread_.join();
     close(listen_fd_);
     listen_fd_ = -1;
-    std::vector<std::thread> conns;
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      conns.swap(conns_);
-    }
-    for (std::thread& t : conns) {
-      if (t.joinable()) t.join();
-    }
+    ReapConnections(/*all=*/true);
   }
 
   uint16_t port() const { return port_; }
@@ -210,16 +192,26 @@ class Collector {
     return merged_.HeavyHitters(phi);
   }
 
-  /// Forces a checkpoint now (the periodic path runs automatically).
+  /// Writes a checkpoint of the current state now (accepted ships also
+  /// checkpoint on their own, every checkpoint_every_snapshots). False
+  /// with a reason when checkpointing is disabled — no file is touched —
+  /// or the write fails.
   bool Checkpoint(std::string* error = nullptr) {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    return CheckpointLocked(error);
+    if (options_.checkpoint_path.empty()) {
+      return CheckpointFail(error, "collector: checkpointing is disabled");
+    }
+    return CommitCheckpoint(std::nullopt, error);
   }
 
  private:
   struct SourceState {
     uint64_t seq = 0;
-    std::vector<uint8_t> frame;  // complete "RSNP" snapshot frame
+    // Complete "RSNP" snapshot frame; shared with in-flight checkpoint
+    // writes, which run outside state_mu_.
+    std::shared_ptr<const std::vector<uint8_t>> frame;
+    // `frame` revived once, at accept or restore. Never mutated, so a copy
+    // of it carries the RNG state a fresh revive would.
+    StreamSketch<T> sketch;
     // Protocol-v2 freshness stamps (0 when the shipper sent a v1 payload).
     uint64_t produced_ns = 0;      // shipper wall clock at Offer time
     uint64_t total_ingested = 0;   // producer watermark the frame covers
@@ -228,20 +220,48 @@ class Collector {
     uint64_t elements_behind = 0;  // watermark delta this ship caught up
   };
 
+  /// One checkpoint row, captured under state_mu_ and written outside it.
+  struct CheckpointEntry {
+    uint64_t id;
+    uint64_t seq;
+    std::shared_ptr<const std::vector<uint8_t>> frame;
+    uint64_t produced_ns;
+    uint64_t total_ingested;
+  };
+
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
   void AcceptLoop() {
     while (!stop_.load(std::memory_order_acquire)) {
+      ReapConnections(/*all=*/false);
       const int fd = AcceptWithTimeout(listen_fd_, options_.idle_poll_ms);
-      if (fd == -1) continue;  // idle tick; re-check stop
-      if (fd < 0) {
-        if (stop_.load(std::memory_order_acquire)) break;
-        continue;
-      }
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      conns_.emplace_back(&Collector::ServeConnection, this, fd);
+      if (fd < 0) continue;  // idle tick or accept error; re-check stop
+      Connection& conn = conns_.emplace_back();
+      conn.thread =
+          std::thread(&Collector::ServeConnection, this, fd, &conn.done);
+      obs::NetConnections().Add(1);
     }
   }
 
-  void ServeConnection(int fd) {
+  /// Joins connection threads that have finished — every one when `all`
+  /// (Stop(), after stop_ is set). conns_ belongs to the accept thread,
+  /// and to Stop() once that thread is joined.
+  void ReapConnections(bool all) {
+    for (auto it = conns_.begin(); it != conns_.end();) {
+      if (!all && !it->done.load(std::memory_order_acquire)) {
+        ++it;
+        continue;
+      }
+      it->thread.join();
+      it = conns_.erase(it);
+      obs::NetConnections().Add(-1);
+    }
+  }
+
+  void ServeConnection(int fd, std::atomic<bool>* done) {
     SetSocketDeadlines(fd, options_.io_timeout_ms, options_.io_timeout_ms);
     while (!stop_.load(std::memory_order_acquire)) {
       // Wait for the next frame with poll + MSG_PEEK so a clean
@@ -285,6 +305,7 @@ class Collector {
       if (!keep) break;
     }
     close(fd);
+    done->store(true, std::memory_order_release);
   }
 
   bool HandleShip(const std::vector<uint8_t>& payload, int fd) {
@@ -306,11 +327,14 @@ class Collector {
            wire::GetVarint(src, &total_ingested) &&
            src.remaining() == uint64_t{0};
     }
+    StreamSketch<T> revived;
     if (ok) {
-      // Full revival up front: garbage must be refused before it can
-      // touch the merged state or the checkpoint.
+      // The frame's one revive, up front: garbage must be refused before
+      // it can touch the merged state or the checkpoint, and the revived
+      // sketch serves every later rebuild.
       wire::BufferSource frame_source(frame);
-      ok = wire::ReadSnapshot<T>(frame_source, &error).valid();
+      revived = wire::ReadSnapshot<T>(frame_source, &error);
+      ok = revived.valid();
     }
     SocketSink sink(fd);
     if (!ok) {
@@ -320,6 +344,8 @@ class Collector {
       WriteStatusMessage(sink, MessageType::kShipAck, Status::kMalformed);
       return false;  // fail closed
     }
+    uint64_t version = 0;
+    bool checkpoint = false;
     {
       char span_detail[64];
       std::snprintf(span_detail, sizeof(span_detail),
@@ -329,7 +355,10 @@ class Collector {
       obs::TraceSpan span("net", span_detail);
       std::lock_guard<std::mutex> lock(state_mu_);
       SourceState& entry = latest_[shipper_id];
-      if (entry.frame.empty() || seq >= entry.seq) {
+      // An out-of-order duplicate (seq < entry.seq after a reconnect race)
+      // changes nothing and still acks kOk: the collector already holds
+      // newer state.
+      if (entry.frame == nullptr || seq >= entry.seq) {
         // Derive the lag this ship closes before overwriting: seq gaps are
         // outbox supersessions, watermark deltas are the elements the
         // merged view was missing until now.
@@ -338,33 +367,37 @@ class Collector {
                                     ? total_ingested - entry.total_ingested
                                     : 0;
         entry.seq = seq;
-        entry.frame = std::move(frame);
+        entry.frame =
+            std::make_shared<const std::vector<uint8_t>>(std::move(frame));
+        entry.sketch = std::move(revived);
         entry.produced_ns = produced_ns;
         entry.total_ingested = total_ingested;
         const uint64_t merge_wall_ns = WallClockNanos();
         if (produced_ns != 0 && merge_wall_ns > produced_ns) {
           obs::NetE2eProduceMergeNs().Observe(merge_wall_ns - produced_ns);
         }
+        RebuildMergedLocked();
       }
-      // An out-of-order duplicate (seq < entry.seq after a reconnect
-      // race) still acks kOk: the collector already holds newer state.
-      RebuildMergedLocked();
       RefreshFreshnessLocked(WallClockNanos());
       accepted_.fetch_add(1, std::memory_order_relaxed);
       obs::NetCollectorSnapshots().Increment();
+      version = ++state_version_;
       if (!options_.checkpoint_path.empty() &&
           ++since_checkpoint_ >= options_.checkpoint_every_snapshots) {
         since_checkpoint_ = 0;
-        CheckpointLocked(nullptr);
+        checkpoint = true;
       }
     }
+    // The ack promises durability: it waits for a checkpoint covering this
+    // ship. A failed write withholds it and drops the connection; the
+    // shipper re-queues the frame and retries after backoff.
+    if (checkpoint && !CommitCheckpoint(version, nullptr)) return false;
     return WriteStatusMessage(sink, MessageType::kShipAck, Status::kOk);
   }
 
   bool HandleQuery(const std::vector<uint8_t>& payload, int fd) {
     wire::BufferSource src(payload);
     uint64_t raw_kind = 0;
-    wire::BufferSink result;
     SocketSink sink(fd);
     if (!wire::GetVarint(src, &raw_kind)) {
       RecordReject("collector query: missing kind");
@@ -373,83 +406,61 @@ class Collector {
     }
     queries_.fetch_add(1, std::memory_order_relaxed);
     obs::NetQueries().Increment();
-    Status status = Status::kOk;
-    switch (static_cast<QueryKind>(raw_kind)) {
-      case QueryKind::kQuantile: {
-        double q = 0.0;
-        if (!wire::GetDouble(src, &q)) {
-          status = Status::kMalformed;
-          break;
-        }
-        std::lock_guard<std::mutex> lock(state_mu_);
-        if (!merged_.valid()) {
-          status = Status::kEmpty;
-        } else if (!merged_.Supports(kCapQuantiles)) {
-          status = Status::kUnsupported;
-        } else {
-          wire::PutDouble(result, merged_.Quantile(q));
-        }
-        break;
-      }
-      case QueryKind::kHeavyHitters: {
-        double phi = 0.0;
-        if (!wire::GetDouble(src, &phi)) {
-          status = Status::kMalformed;
-          break;
-        }
-        std::lock_guard<std::mutex> lock(state_mu_);
-        if (!merged_.valid()) {
-          status = Status::kEmpty;
-        } else if (!merged_.Supports(kCapHeavyHitters)) {
-          status = Status::kUnsupported;
-        } else {
-          const std::vector<HeavyHitter> hits = merged_.HeavyHitters(phi);
-          wire::PutVarint(result, hits.size());
-          for (const HeavyHitter& h : hits) {
-            wire::PutValue<int64_t>(result, h.element);
-            wire::PutDouble(result, h.frequency);
-          }
-        }
-        break;
-      }
-      case QueryKind::kFrequency: {
-        T x{};
-        if (!wire::GetValue(src, &x)) {
-          status = Status::kMalformed;
-          break;
-        }
-        std::lock_guard<std::mutex> lock(state_mu_);
-        if (!merged_.valid()) {
-          status = Status::kEmpty;
-        } else if (!merged_.Supports(kCapFrequencies)) {
-          status = Status::kUnsupported;
-        } else {
-          wire::PutDouble(result, merged_.EstimateFrequency(x));
-        }
-        break;
-      }
-      default:
-        status = Status::kMalformed;
+    const auto kind = static_cast<QueryKind>(raw_kind);
+    double arg = 0.0;  // q or phi
+    T x{};
+    bool parsed = false;
+    if (kind == QueryKind::kQuantile || kind == QueryKind::kHeavyHitters) {
+      parsed = wire::GetDouble(src, &arg);
+    } else if (kind == QueryKind::kFrequency) {
+      parsed = wire::GetValue(src, &x);
     }
-    if (status == Status::kMalformed) {
+    if (!parsed) {
       RecordReject("collector query: malformed payload");
       WriteStatusMessage(sink, MessageType::kQueryResult, Status::kMalformed);
       return false;
     }
+    wire::BufferSink result;
     wire::BufferSink response;
-    wire::PutVarint(response, static_cast<uint64_t>(status));
     {
-      // Every answer carries its freshness: callers learn what the merge
-      // was missing (watermark floor, staleness ceiling) alongside the
-      // result instead of assuming the view is current.
+      // One view for the answer and its freshness: callers learn what the
+      // merge was missing (watermark floor, staleness ceiling) alongside
+      // the result, and no ship can land between the two.
       std::lock_guard<std::mutex> lock(state_mu_);
+      const Status status = AnswerLocked(kind, arg, x, result);
       const QueryFreshness fresh = RefreshFreshnessLocked(WallClockNanos());
+      wire::PutVarint(response, static_cast<uint64_t>(status));
       wire::PutVarint(response, fresh.contributing_shippers);
       wire::PutVarint(response, fresh.min_watermark);
       wire::PutVarint(response, fresh.max_staleness_ns);
     }
     response.Append(result.bytes().data(), result.bytes().size());
     return WriteMessage(sink, MessageType::kQueryResult, response.bytes());
+  }
+
+  /// Answers one parsed query from merged_ into `result` (empty unless
+  /// kOk). `arg` is q for kQuantile and phi for kHeavyHitters.
+  Status AnswerLocked(QueryKind kind, double arg, const T& x,
+                      wire::BufferSink& result) const {
+    const SketchCapability need =
+        kind == QueryKind::kQuantile       ? kCapQuantiles
+        : kind == QueryKind::kHeavyHitters ? kCapHeavyHitters
+                                           : kCapFrequencies;
+    if (!merged_.valid()) return Status::kEmpty;
+    if (!merged_.Supports(need)) return Status::kUnsupported;
+    if (kind == QueryKind::kQuantile) {
+      wire::PutDouble(result, merged_.Quantile(arg));
+    } else if (kind == QueryKind::kHeavyHitters) {
+      const std::vector<HeavyHitter> hits = merged_.HeavyHitters(arg);
+      wire::PutVarint(result, hits.size());
+      for (const HeavyHitter& h : hits) {
+        wire::PutValue<int64_t>(result, h.element);
+        wire::PutDouble(result, h.frequency);
+      }
+    } else {
+      wire::PutDouble(result, merged_.EstimateFrequency(x));
+    }
+    return Status::kOk;
   }
 
   /// Recomputes the per-shipper staleness gauges against `now_wall_ns` and
@@ -502,7 +513,7 @@ class Collector {
              ",\"staleness_ns\":" + std::to_string(staleness_ns) +
              ",\"seq_lag\":" + std::to_string(state.seq_lag) +
              ",\"elements_behind\":" + std::to_string(state.elements_behind) +
-             ",\"frame_bytes\":" + std::to_string(state.frame.size()) + "}";
+             ",\"frame_bytes\":" + std::to_string(state.frame->size()) + "}";
     }
     out += "],\"contributing_shippers\":" +
            std::to_string(fresh.contributing_shippers) +
@@ -512,55 +523,85 @@ class Collector {
     return out;
   }
 
-  /// Re-folds the latest snapshot of every shipper into merged_. Cost is
-  /// O(#shippers x snapshot size) per accepted ship — the price of the
-  /// no-double-count invariant under cumulative re-ships.
+  /// Folds the kept per-shipper sketches into merged_: a copy of the
+  /// first, MergeFrom the rest, no revive. Because the kept sketches are
+  /// never mutated, the answers are bit-identical to folding freshly
+  /// revived frames. Cost is O(#shippers x sketch size) per accepted ship
+  /// — the price of the no-double-count invariant under cumulative
+  /// re-ships.
   void RebuildMergedLocked() {
     const uint64_t start_ns = obs::NowNanos();
     StreamSketch<T> merged;
     for (const auto& [id, state] : latest_) {
-      wire::BufferSource source(state.frame);
-      StreamSketch<T> revived = wire::ReadSnapshot<T>(source);
-      if (!revived.valid()) continue;  // validated at accept; never here
       if (!merged.valid()) {
-        merged = std::move(revived);
+        merged = state.sketch;
       } else {
-        merged.MergeFrom(revived);
+        merged.MergeFrom(state.sketch);
       }
     }
     merged_ = std::move(merged);
     obs::NetCollectorMergeNs().Observe(obs::NowNanos() - start_ns);
   }
 
-  bool CheckpointLocked(std::string* error) {
-    obs::ScopedLatencyTimer timer(obs::NetCheckpointNs());
-    wire::BufferSink body;
-    wire::PutVarint(body, latest_.size());
-    for (const auto& [id, state] : latest_) {
-      wire::PutVarint(body, id);
-      wire::PutVarint(body, state.seq);
-      wire::PutBytes(body, state.frame);
-      // Freshness stamps survive restarts so a restored collector still
-      // reports honest watermarks/staleness for state it answered from.
-      wire::PutVarint(body, state.produced_ns);
-      wire::PutVarint(body, state.total_ingested);
-    }
-    const std::string& path = options_.checkpoint_path;
-    const std::string tmp = path + ".tmp";
+  /// Group commit. Returns once a durable checkpoint covers state version
+  /// `covering` — or, with nullopt, once a write that began after the call
+  /// is durable. One writer at a time captures the map under state_mu_ and
+  /// writes outside every lock; callers that arrive meanwhile wait, and
+  /// the next writer's capture covers all of them. A caller whose covering
+  /// write failed writes for itself, so false always reports a write this
+  /// caller made.
+  bool CommitCheckpoint(std::optional<uint64_t> covering, std::string* error) {
+    const auto covered = [&] {
+      return covering.has_value() && durable_version_ >= *covering;
+    };
     {
-      wire::FileSink file(tmp);
-      if (!wire::WriteFramedBody(file, internal::kCollectorCheckpointMagic,
-                                 body.bytes()) ||
-          !file.SyncAndClose()) {
-        std::remove(tmp.c_str());
-        return CheckpointFail(error, "collector: cannot write " + tmp);
+      std::unique_lock<std::mutex> lock(commit_mu_);
+      commit_cv_.wait(lock, [&] { return covered() || !writer_active_; });
+      if (covered()) return true;
+      writer_active_ = true;
+    }
+    std::vector<CheckpointEntry> entries;
+    uint64_t captured = 0;
+    {
+      std::lock_guard<std::mutex> lock(state_mu_);
+      captured = state_version_;
+      entries.reserve(latest_.size());
+      for (const auto& [id, state] : latest_) {
+        entries.push_back({id, state.seq, state.frame, state.produced_ns,
+                           state.total_ingested});
       }
     }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-      std::remove(tmp.c_str());
-      return CheckpointFail(error, "collector: cannot rename " + path);
+    const bool ok = WriteCheckpoint(entries, error);
+    {
+      std::lock_guard<std::mutex> lock(commit_mu_);
+      writer_active_ = false;
+      if (ok && captured > durable_version_) durable_version_ = captured;
     }
-    internal::SyncParentDirectory(path);
+    commit_cv_.notify_all();
+    return ok;
+  }
+
+  bool WriteCheckpoint(const std::vector<CheckpointEntry>& entries,
+                       std::string* error) {
+    obs::ScopedLatencyTimer timer(obs::NetCheckpointNs());
+    wire::BufferSink body;
+    wire::PutVarint(body, entries.size());
+    for (const CheckpointEntry& entry : entries) {
+      wire::PutVarint(body, entry.id);
+      wire::PutVarint(body, entry.seq);
+      wire::PutBytes(body, *entry.frame);
+      // Freshness stamps survive restarts so a restored collector still
+      // reports honest watermarks/staleness for state it answered from.
+      wire::PutVarint(body, entry.produced_ns);
+      wire::PutVarint(body, entry.total_ingested);
+    }
+    std::string reason;
+    if (!wire::AtomicWriteFile(options_.checkpoint_path,
+                               internal::kCollectorCheckpointMagic,
+                               body.bytes(), wire::BodyEncoding::kNone,
+                               &reason)) {
+      return CheckpointFail(error, "collector: " + reason);
+    }
     return true;
   }
 
@@ -606,9 +647,10 @@ class Collector {
     for (uint64_t i = 0; i < count; ++i) {
       uint64_t id = 0;
       SourceState state;
+      std::vector<uint8_t> frame;
       if (!wire::GetVarint(source, &id) ||
           !wire::GetVarint(source, &state.seq) ||
-          !wire::GetBytes(source, &state.frame, wire::kMaxBodyBytes)) {
+          !wire::GetBytes(source, &frame, wire::kMaxBodyBytes)) {
         if (error != nullptr) *error = "malformed checkpoint entry";
         return false;
       }
@@ -618,15 +660,19 @@ class Collector {
         if (error != nullptr) *error = "malformed checkpoint freshness";
         return false;
       }
-      // Same gate as the live path: each frame must revive cleanly.
-      wire::BufferSource frame_source(state.frame);
+      // Same gate as the live path: each frame must revive cleanly, and
+      // the revived sketch is kept for the rebuilds.
+      wire::BufferSource frame_source(frame);
       std::string revive_error;
-      if (!wire::ReadSnapshot<T>(frame_source, &revive_error).valid()) {
+      state.sketch = wire::ReadSnapshot<T>(frame_source, &revive_error);
+      if (!state.sketch.valid()) {
         if (error != nullptr) {
           *error = "checkpoint snapshot rejected: " + revive_error;
         }
         return false;
       }
+      state.frame =
+          std::make_shared<const std::vector<uint8_t>>(std::move(frame));
       restored[id] = std::move(state);
     }
     if (source.remaining() != uint64_t{0}) {
@@ -656,13 +702,19 @@ class Collector {
   std::atomic<bool> stop_{true};
   std::thread accept_thread_;
   std::unique_ptr<obs::AdminServer> admin_;
-  std::mutex conns_mu_;
-  std::vector<std::thread> conns_;
+  std::list<Connection> conns_;  // stable addresses for Connection::done
 
   mutable std::mutex state_mu_;
   std::map<uint64_t, SourceState> latest_;  // ordered: stable checkpoints
   StreamSketch<T> merged_;
   uint64_t since_checkpoint_ = 0;
+  uint64_t state_version_ = 0;  // bumped by every accepted ship
+
+  // Group commit (CommitCheckpoint); never held together with state_mu_.
+  std::mutex commit_mu_;
+  std::condition_variable commit_cv_;
+  bool writer_active_ = false;
+  uint64_t durable_version_ = 0;  // state_version_ of the last durable write
 
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> rejects_{0};

@@ -66,7 +66,7 @@ constexpr MetricDescriptor kCatalog[] = {
     {"rs_net_ship_failures_total", "counter", "",
      "Ship attempts that failed (send error, bad/missing ack)"},
     {"rs_net_collector_merge_ns", "histogram", "",
-     "Collector latency to revive a snapshot and rebuild the merged view"},
+     "Collector merged-view rebuild from the kept per-shipper sketches"},
     {"rs_net_collector_snapshots_total", "counter", "",
      "Snapshots the collector accepted and merged"},
     {"rs_net_collector_rejects_total", "counter", "",
@@ -74,7 +74,9 @@ constexpr MetricDescriptor kCatalog[] = {
     {"rs_net_queries_total", "counter", "",
      "Queries served by the collector over shipper/client connections"},
     {"rs_net_checkpoint_ns", "histogram", "",
-     "Collector checkpoint end-to-end duration (serialize, write, rename)"},
+     "Collector checkpoint write (serialize, write, fsync, rename), per write"},
+    {"rs_net_connections", "gauge", "",
+     "Connection threads the collector holds (serving or not yet joined)"},
     {"rs_net_staleness_ns", "gauge", "shipper",
      "Wall-clock age of this shipper's latest merged snapshot"},
     {"rs_net_staleness_seq_lag", "gauge", "shipper",
@@ -290,6 +292,11 @@ Counter& NetQueries() {
 Histogram& NetCheckpointNs() {
   static Histogram& h = CatalogHistogram("rs_net_checkpoint_ns");
   return h;
+}
+
+Gauge& NetConnections() {
+  static Gauge& g = CatalogGauge("rs_net_connections");
+  return g;
 }
 
 Gauge& NetStalenessNs(uint64_t shipper) {

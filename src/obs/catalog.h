@@ -98,7 +98,12 @@ Counter& NetCollectorSnapshots();
 /// rejection also leaves a flight-recorder error event.
 Counter& NetCollectorRejects();
 Counter& NetQueries();
+/// One collector checkpoint write; a group-committed write covers every
+/// ship that arrived while the previous write ran.
 Histogram& NetCheckpointNs();
+/// Connection threads collectors hold: serving, or finished and not yet
+/// joined by the accept loop. Summed over collectors in the process.
+Gauge& NetConnections();
 /// Wall-clock age of this shipper's latest merged snapshot (label:
 /// shipper id), refreshed at merge, query, and /shippers render time.
 Gauge& NetStalenessNs(uint64_t shipper);

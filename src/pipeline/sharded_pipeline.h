@@ -1,14 +1,10 @@
 #ifndef ROBUST_SAMPLING_PIPELINE_SHARDED_PIPELINE_H_
 #define ROBUST_SAMPLING_PIPELINE_SHARDED_PIPELINE_H_
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -589,24 +585,11 @@ class ShardedPipeline {
       }
     }
     obs::PipelineCheckpointBytes().Observe(body.bytes().size());
-    const std::string tmp = path + ".tmp";
-    {
-      wire::FileSink file(tmp);
-      // An over-limit body must fail *here*, leaving the previous good
-      // checkpoint in place — never produce a file Restore would reject.
-      if (!wire::WriteFramedBody(file, kCheckpointMagic, body.bytes(),
-                                 encoding) ||
-          !file.SyncAndClose()) {
-        std::remove(tmp.c_str());
-        return CheckpointFail(error, "cannot write checkpoint: " + tmp);
-      }
+    std::string reason;
+    if (!wire::AtomicWriteFile(path, kCheckpointMagic, body.bytes(), encoding,
+                               &reason)) {
+      return CheckpointFail(error, std::move(reason));
     }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-      std::remove(tmp.c_str());
-      return CheckpointFail(error,
-                            "cannot rename checkpoint into place: " + path);
-    }
-    SyncParentDirectory(path);
     return true;
   }
 
@@ -776,19 +759,6 @@ class ShardedPipeline {
     obs::FlightRecorder::Global().RecordError("pipeline",
                                               "restore: " + reason);
     Fail(error, std::move(reason));
-  }
-
-  /// Makes the rename itself durable: fsync the containing directory so
-  /// the new directory entry survives a crash.
-  static void SyncParentDirectory(const std::string& path) {
-    const size_t slash = path.find_last_of('/');
-    const std::string dir =
-        slash == std::string::npos ? "." : path.substr(0, slash + 1);
-    const int fd = open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (fd >= 0) {
-      fsync(fd);
-      close(fd);
-    }
   }
 
   struct Shard {

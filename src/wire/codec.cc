@@ -1,6 +1,7 @@
 #include "wire/codec.h"
 
 #include <errno.h>
+#include <fcntl.h>
 #include <pthread.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -8,6 +9,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <utility>
 
@@ -703,6 +705,39 @@ bool ReadFramedBody(ByteSource& source, const char magic[4],
     }
   }
   if (format_version != nullptr) *format_version = version;
+  return true;
+}
+
+bool AtomicWriteFile(const std::string& path, const char magic[4],
+                     std::span<const uint8_t> body, BodyEncoding encoding,
+                     std::string* error) {
+  const std::string tmp = path + ".tmp";
+  {
+    FileSink file(tmp);
+    // An over-limit body fails *here*, leaving the previous good file in
+    // place — never publish a frame the reader would reject.
+    if (!WriteFramedBody(file, magic, body, encoding) ||
+        !file.SyncAndClose()) {
+      std::remove(tmp.c_str());
+      if (error != nullptr) *error = "cannot write " + tmp;
+      return false;
+    }
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    if (error != nullptr) *error = "cannot rename " + tmp + " to " + path;
+    return false;
+  }
+  // fsync the containing directory so the new entry survives a crash.
+  const size_t slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos
+                              ? std::string(".")
+                              : path.substr(0, slash + 1);
+  const int fd = open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd >= 0) {
+    fsync(fd);
+    close(fd);
+  }
   return true;
 }
 

@@ -645,6 +645,16 @@ bool ReadFramedBody(ByteSource& source, const char magic[4],
                     std::vector<uint8_t>* body, std::string* error,
                     uint64_t* format_version = nullptr);
 
+/// Durably replaces `path` with one framed body (WriteFramedBody): write
+/// `path + ".tmp"`, fflush + fsync, rename over `path`, fsync the parent
+/// directory. A crash at any instant leaves either the previous file or
+/// the new one, never a torn one. On failure removes the tmp file, leaves
+/// any previous `path` in place and stores a one-line reason in `error`.
+bool AtomicWriteFile(const std::string& path, const char magic[4],
+                     std::span<const uint8_t> body,
+                     BodyEncoding encoding = BodyEncoding::kNone,
+                     std::string* error = nullptr);
+
 }  // namespace wire
 }  // namespace robust_sampling
 

@@ -4,14 +4,21 @@
 // silently wrong merge), keep-latest shipper degradation, and the
 // collector's checkpoint / kill -9 / restore contract.
 
+#include <fcntl.h>
 #include <signal.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -500,6 +507,33 @@ TEST(CollectorTest, HalfOpenPeerDoesNotBlockOtherShippers) {
   collector.Stop();
 }
 
+TEST(CollectorTest, FinishedConnectionThreadsAreReaped) {
+#if !RS_METRICS_ENABLED
+  GTEST_SKIP() << "reads the rs_net_connections gauge";
+#else
+  net::Collector<int64_t> collector(net::CollectorOptions{});
+  ASSERT_TRUE(collector.Start());
+  const int64_t baseline = obs::NetConnections().Value();
+  for (int i = 0; i < 200; ++i) {
+    net::CollectorClient<int64_t> client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", collector.port()));
+    // A round trip proves a connection thread served this client.
+    double q = 0.0;
+    net::Status status = net::Status::kOk;
+    EXPECT_FALSE(client.Quantile(0.5, &q, &status));
+    EXPECT_EQ(status, net::Status::kEmpty);
+  }
+  // The accept loop joins finished threads on every tick; the last ones
+  // finish moments after their client closes.
+  for (int i = 0; i < 1000 && obs::NetConnections().Value() > baseline;
+       ++i) {
+    usleep(5000);
+  }
+  EXPECT_EQ(obs::NetConnections().Value(), baseline);
+  collector.Stop();
+#endif
+}
+
 // --------------------------------------------- checkpoint / kill -9 ----
 
 TEST(CollectorCheckpointTest, CorruptCheckpointStartsEmptyNotWrong) {
@@ -690,6 +724,287 @@ TEST(CollectorCheckpointTest, PreFreshnessCheckpointStillRestores) {
   std::remove(path.c_str());
 }
 
+TEST(CollectorCheckpointTest, FailedCheckpointWithholdsTheAck) {
+  // Every checkpoint write fails: its directory does not exist.
+  const std::string dir = TempPath("net_collector_missing_dir");
+  std::filesystem::remove_all(dir);
+  net::CollectorOptions options;
+  options.checkpoint_path = dir + "/collector.ck";
+  net::Collector<int64_t> collector(options);
+  ASSERT_TRUE(collector.Start());
+
+  const SketchConfig config = KllConfig();
+  StreamSketch<int64_t> sketch = MakeSketch(config, TestStream(3000, 71));
+  net::ShipperOptions soptions;
+  soptions.port = collector.port();
+  soptions.shipper_id = 12;
+  soptions.backoff_initial_ms = 5;
+  soptions.backoff_max_ms = 20;
+  net::SnapshotShipper shipper(soptions);
+  shipper.Start();
+  shipper.Offer(SnapshotBytes(sketch, config));
+  for (int i = 0; i < 2000 && shipper.failures() < 2; ++i) usleep(5000);
+
+  // The collector serves the ship from memory but never acks it: the
+  // shipper counts failures and keeps the frame queued for a retry.
+  EXPECT_GE(shipper.failures(), uint64_t{2});
+  EXPECT_EQ(shipper.shipped(), uint64_t{0});
+  EXPECT_FALSE(shipper.WaitUntilDrained(0));
+  const auto got = collector.Quantile(0.5);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_DOUBLE_EQ(*got, sketch.Quantile(0.5));
+  shipper.Stop();
+  collector.Stop();
+}
+
+TEST(CollectorCheckpointTest, CheckpointWithoutPathTouchesNoFile) {
+  // An empty checkpoint_path disables checkpointing. A forced Checkpoint()
+  // must fail without writing "" + ".tmp" into the working directory.
+  const std::filesystem::path dir = TempPath("net_collector_no_path");
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(std::filesystem::create_directory(dir));
+  const std::filesystem::path old_cwd = std::filesystem::current_path();
+  std::filesystem::current_path(dir);
+  std::ofstream(".tmp") << "sentinel";
+
+  net::Collector<int64_t> collector(net::CollectorOptions{});
+  std::string error;
+  EXPECT_FALSE(collector.Checkpoint(&error));
+  EXPECT_NE(error.find("disabled"), std::string::npos) << error;
+  std::string contents;
+  std::getline(std::ifstream(".tmp"), contents);
+  EXPECT_EQ(contents, "sentinel");
+
+  std::filesystem::current_path(old_cwd);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CollectorCheckpointTest, QueryCompletesWhileCheckpointWriterIsBlocked) {
+  const std::string path = TempPath("net_collector_blocked.ck");
+  const std::string tmp = path + ".tmp";
+  std::remove(path.c_str());
+  std::remove(tmp.c_str());
+  // A FIFO at the writer's tmp path: its open blocks until a reader opens
+  // the other end, which holds the writer mid-checkpoint.
+  ASSERT_EQ(mkfifo(tmp.c_str(), 0600), 0);
+  net::CollectorOptions options;
+  options.checkpoint_path = path;
+  net::Collector<int64_t> collector(options);
+  ASSERT_TRUE(collector.Start());
+
+  const SketchConfig config = KllConfig();
+  StreamSketch<int64_t> sketch = MakeSketch(config, TestStream(3000, 72));
+  net::ShipperOptions soptions;
+  soptions.port = collector.port();
+  soptions.shipper_id = 13;
+  soptions.backoff_initial_ms = 5;
+  net::SnapshotShipper shipper(soptions);
+  shipper.Start();
+  shipper.Offer(SnapshotBytes(sketch, config));
+  for (int i = 0; i < 2000 && collector.accepted_snapshots() == 0; ++i) {
+    usleep(5000);
+  }
+  ASSERT_EQ(collector.accepted_snapshots(), uint64_t{1});
+
+  // The ship is merged and its ack waits on the held writer, yet a query
+  // completes. (EXPECT, not ASSERT: the writer must be released below.)
+  net::CollectorClient<int64_t> client;
+  EXPECT_TRUE(client.Connect("127.0.0.1", collector.port()));
+  double got = 0.0;
+  EXPECT_TRUE(client.Quantile(0.5, &got));
+  EXPECT_DOUBLE_EQ(got, sketch.Quantile(0.5));
+  EXPECT_EQ(shipper.shipped(), uint64_t{0});
+
+  // Release the writer by reading the FIFO to EOF. fsync fails on a FIFO,
+  // so that write withholds the ack; the shipper's retry then writes a
+  // regular file and is acked.
+  const int fd = open(tmp.c_str(), O_RDONLY);
+  ASSERT_GE(fd, 0);
+  char buf[4096];
+  while (read(fd, buf, sizeof(buf)) > 0) {
+  }
+  close(fd);
+  ASSERT_TRUE(shipper.WaitUntilDrained(10000));
+  EXPECT_EQ(shipper.shipped(), uint64_t{1});
+  EXPECT_GE(shipper.failures(), uint64_t{1});
+  shipper.Stop();
+  collector.Stop();
+  std::remove(path.c_str());
+  std::remove(tmp.c_str());
+}
+
+TEST(CollectorCheckpointTest, ConcurrentShipsReviveOnceAndShareCheckpoints) {
+#if !RS_METRICS_ENABLED
+  GTEST_SKIP() << "counts work through the metrics registry";
+#else
+  const std::string path = TempPath("net_collector_work.ck");
+  std::remove(path.c_str());
+  net::CollectorOptions options;
+  options.checkpoint_path = path;
+  net::Collector<int64_t> collector(options);
+  ASSERT_TRUE(collector.Start());
+
+  const SketchConfig config = KllConfig();
+  constexpr uint64_t kShippers = 3;
+  constexpr uint64_t kRounds = 8;
+  std::vector<std::unique_ptr<net::SnapshotShipper>> shippers;
+  std::vector<StreamSketch<int64_t>> sketches;
+  for (uint64_t i = 0; i < kShippers; ++i) {
+    net::ShipperOptions soptions;
+    soptions.port = collector.port();
+    soptions.shipper_id = 21 + i;
+    shippers.push_back(std::make_unique<net::SnapshotShipper>(soptions));
+    shippers.back()->Start();
+    sketches.push_back(SketchRegistry<int64_t>::Global().Create(config));
+  }
+  const uint64_t revives0 = obs::WireDeserializeNs(config.kind).Read().count;
+  const uint64_t writes0 = obs::NetCheckpointNs().Read().count;
+  for (uint64_t round = 0; round < kRounds; ++round) {
+    for (uint64_t i = 0; i < kShippers; ++i) {
+      sketches[i].InsertBatch(TestStream(500, 1000 * round + i));
+      shippers[i]->Offer(SnapshotBytes(sketches[i], config));
+    }
+    for (auto& shipper : shippers) {
+      ASSERT_TRUE(shipper->WaitUntilDrained(10000));
+    }
+  }
+  for (auto& shipper : shippers) shipper->Stop();
+
+  // Work counts, not wall time: one revive per received ship (the
+  // accept-time validation, kept for every rebuild) and at most one
+  // checkpoint write per accepted ship.
+  const uint64_t ships = collector.accepted_snapshots();
+  EXPECT_EQ(ships, kShippers * kRounds);
+  EXPECT_EQ(obs::WireDeserializeNs(config.kind).Read().count - revives0,
+            ships);
+  const uint64_t writes = obs::NetCheckpointNs().Read().count - writes0;
+  EXPECT_GE(writes, uint64_t{1});
+  EXPECT_LE(writes, ships);
+  collector.Stop();
+  std::remove(path.c_str());
+#endif
+}
+
+/// Forks a child that serves a checkpointing collector on `port` until it
+/// is killed; returns its pid once it accepts, or -1. Call only while no
+/// other thread runs in this process.
+pid_t ForkCheckpointingCollector(uint16_t port, const std::string& path) {
+  int ready_pipe[2];
+  if (pipe(ready_pipe) != 0) return -1;
+  const pid_t child = fork();
+  if (child == 0) {
+    close(ready_pipe[0]);
+    net::CollectorOptions options;
+    options.port = port;
+    options.checkpoint_path = path;
+    net::Collector<int64_t> collector(options);
+    if (!collector.Start()) _exit(1);
+    const char ready = 'R';
+    if (write(ready_pipe[1], &ready, 1) != 1) _exit(1);
+    for (;;) pause();  // SIGKILL is the only exit
+  }
+  close(ready_pipe[1]);
+  char ready = 0;
+  const bool up = child > 0 && read(ready_pipe[0], &ready, 1) == 1;
+  close(ready_pipe[0]);
+  return up ? child : -1;
+}
+
+// Group commit keeps the kill -9 promise: SIGKILL lands at seeded points
+// while three shippers ship concurrently, and every ship acked before it
+// must be in the restored state.
+TEST(CollectorCheckpointTest, Kill9AtSeededPointsLosesNoAckedShip) {
+  const std::string path = TempPath("net_collector_kill9_cycles.ck");
+  std::remove(path.c_str());
+  const uint16_t port = ReservePort();
+  SketchConfig config;
+  config.kind = "reservoir";
+  config.capacity = 4096;  // keeps every element, and so does its merge
+  constexpr int kShippers = 3;
+  std::vector<std::unique_ptr<net::SnapshotShipper>> shippers;
+  std::vector<StreamSketch<int64_t>> sketches;
+  for (int i = 0; i < kShippers; ++i) {
+    sketches.push_back(SketchRegistry<int64_t>::Global().Create(config));
+    net::ShipperOptions soptions;
+    soptions.port = port;
+    soptions.shipper_id = static_cast<uint64_t>(i) + 1;
+    soptions.connect_timeout_ms = 200;
+    soptions.backoff_initial_ms = 2;
+    soptions.backoff_max_ms = 20;
+    shippers.push_back(std::make_unique<net::SnapshotShipper>(soptions));
+  }
+  // Shipper i's k-th offer holds elements Key(i, 1) .. Key(i, k), so the
+  // restored sample shows the newest of its ships on disk.
+  const auto key = [](int i, uint64_t k) {
+    return static_cast<int64_t>(1000 * (i + 1) + k);
+  };
+  std::vector<uint64_t> offered(kShippers, 0);
+  std::vector<uint64_t> acked(kShippers, 0);
+  const auto offer = [&] {
+    for (int i = 0; i < kShippers; ++i) {
+      ++offered[i];
+      sketches[i].Insert(key(i, offered[i]));
+      shippers[i]->Offer(SnapshotBytes(sketches[i], config), offered[i]);
+    }
+  };
+  const auto drain = [&] {
+    bool drained = true;
+    for (int i = 0; i < kShippers; ++i) {
+      if (shippers[i]->WaitUntilDrained(10000)) {
+        acked[i] = offered[i];
+      } else {
+        drained = false;
+      }
+    }
+    return drained;
+  };
+
+  Rng rng(0xC1C1E5);
+  for (int cycle = 0; cycle < 20; ++cycle) {
+    // Fork while no thread runs here: the shippers are stopped.
+    const pid_t child = ForkCheckpointingCollector(port, path);
+    ASSERT_GT(child, 0);
+    for (auto& shipper : shippers) shipper->Start();
+    EXPECT_TRUE(drain());  // what the last kill left in flight
+    for (uint64_t r = rng.NextBelow(3); r > 0; --r) {
+      offer();
+      EXPECT_TRUE(drain());
+    }
+    // One more concurrent round, cut at a seeded point.
+    std::vector<uint64_t> shipped_before(kShippers);
+    for (int i = 0; i < kShippers; ++i) {
+      shipped_before[i] = shippers[i]->shipped();
+    }
+    offer();
+    usleep(static_cast<useconds_t>(rng.NextBelow(4000)));
+    ASSERT_EQ(kill(child, SIGKILL), 0);
+    int wstatus = 0;
+    ASSERT_EQ(waitpid(child, &wstatus, 0), child);
+    for (auto& shipper : shippers) shipper->Stop();
+    for (int i = 0; i < kShippers; ++i) {
+      if (shippers[i]->shipped() > shipped_before[i]) acked[i] = offered[i];
+    }
+
+    // Restore in process (ephemeral port; it receives no ship, so it never
+    // writes the checkpoint).
+    net::CollectorOptions options;
+    options.checkpoint_path = path;
+    net::Collector<int64_t> restored(options);
+    ASSERT_TRUE(restored.Start());
+    for (int i = 0; i < kShippers; ++i) {
+      uint64_t held = 0;
+      while (held < offered[i] &&
+             restored.EstimateFrequency(key(i, held + 1)).value_or(0.0) >
+                 0.0) {
+        ++held;
+      }
+      EXPECT_GE(held, acked[i]) << "cycle " << cycle << " shipper " << i + 1;
+    }
+    restored.Stop();
+  }
+  std::remove(path.c_str());
+}
+
 // ------------------------------------------------ freshness / v2 ships ----
 
 TEST(FreshnessTest, QueryResultsCarryTheShippedWatermark) {
@@ -739,6 +1054,61 @@ TEST(FreshnessTest, QueryResultsCarryTheShippedWatermark) {
   EXPECT_EQ(status, net::Status::kUnsupported);
   EXPECT_EQ(fresh_on_error.min_watermark, uint64_t{4000});
   EXPECT_EQ(fresh_on_error.contributing_shippers, uint64_t{2});
+  collector.Stop();
+}
+
+TEST(FreshnessTest, AnswerAndFreshnessComeFromOneView) {
+  // A reservoir that keeps every element of 1..w answers Quantile(1.0) = w,
+  // and w is also the shipped watermark: an answer and its annotation
+  // taken from different views would disagree.
+  net::Collector<int64_t> collector(net::CollectorOptions{});
+  ASSERT_TRUE(collector.Start());
+  SketchConfig config;
+  config.kind = "reservoir";
+  config.capacity = 4096;
+  config.seed = 0x4E7;
+  StreamSketch<int64_t> sketch =
+      SketchRegistry<int64_t>::Global().Create(config);
+
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> answers{0};
+  std::thread reader([&] {
+    net::CollectorClient<int64_t> client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", collector.port()));
+    while (!done.load()) {
+      double got = 0.0;
+      net::Status status = net::Status::kOk;
+      net::QueryFreshness fresh;
+      if (!client.Quantile(1.0, &got, &status, &fresh)) {
+        ASSERT_EQ(status, net::Status::kEmpty);
+        continue;
+      }
+      ASSERT_EQ(got, static_cast<double>(fresh.min_watermark));
+      answers.fetch_add(1);
+    }
+  });
+
+  net::ShipperOptions soptions;
+  soptions.port = collector.port();
+  soptions.shipper_id = 41;
+  net::SnapshotShipper shipper(soptions);
+  shipper.Start();
+  int64_t w = 0;
+  for (int round = 0; round < 64; ++round) {
+    std::vector<int64_t> more;
+    for (int i = 0; i < 32; ++i) more.push_back(++w);
+    sketch.InsertBatch(more);
+    shipper.Offer(SnapshotBytes(sketch, config),
+                  /*total_ingested=*/static_cast<uint64_t>(w));
+    ASSERT_TRUE(shipper.WaitUntilDrained(5000));
+  }
+  // Let the reader see the final state too.
+  const uint64_t seen = answers.load();
+  for (int i = 0; i < 5000 && answers.load() < seen + 2; ++i) usleep(1000);
+  done.store(true);
+  reader.join();
+  shipper.Stop();
+  EXPECT_EQ(collector.Quantile(1.0), static_cast<double>(w));
   collector.Stop();
 }
 
