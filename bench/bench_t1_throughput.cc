@@ -1,6 +1,5 @@
 // T1: throughput microbenchmarks for the samplers and the discrepancy
-// evaluators (google-benchmark). Includes the DESIGN.md ablation:
-// Algorithm R vs the skip-optimized Algorithm L reservoir.
+// evaluators (google-benchmark).
 
 #include <cstdint>
 #include <vector>
@@ -41,19 +40,6 @@ void BM_ReservoirAlgorithmR(benchmark::State& state) {
                           static_cast<int64_t>(stream.size()));
 }
 BENCHMARK(BM_ReservoirAlgorithmR)->Name("t1/reservoir_r")->Arg(64)->Arg(1024)->Arg(16384);
-
-void BM_ReservoirAlgorithmL(benchmark::State& state) {
-  const size_t k = static_cast<size_t>(state.range(0));
-  const auto stream = UniformIntStream(1 << 16, 1 << 20, 2);
-  for (auto _ : state) {
-    SkipReservoirSampler<int64_t> s(k, 42);
-    for (int64_t v : stream) s.Insert(v);
-    benchmark::DoNotOptimize(s.sample().size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(stream.size()));
-}
-BENCHMARK(BM_ReservoirAlgorithmL)->Name("t1/reservoir_l")->Arg(64)->Arg(1024)->Arg(16384);
 
 void BM_WeightedReservoir(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));

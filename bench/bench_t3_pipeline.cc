@@ -533,10 +533,9 @@ void Run(bool with_metrics) {
     }
   }
   // Observability overhead check: the same zero-copy run at 4 shards
-  // (round-robin), instrumented vs with metrics disabled at runtime (in
-  // an RS_METRICS=OFF build the toggle is itself a no-op and the two rows
-  // measure the compiled-out configuration twice). Alternating best-of-2
-  // on each side filters scheduler noise on small CI machines.
+  // (round-robin), instrumented vs with metrics disabled at runtime.
+  // Alternating best-of-2 on each side filters scheduler noise on small CI
+  // machines.
   double obs_on_secs = 0.0, obs_off_secs = 0.0;
   double obs_off_err = 0.0;
   {

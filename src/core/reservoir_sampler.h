@@ -70,12 +70,13 @@ class ReservoirSampler {
   /// exact Algorithm R acceptance probability k/i (an inhomogeneous
   /// Bernoulli process simulated by thinning).
   ///
-  /// Adversarial-model note: unlike `SkipReservoirSampler`, no skip state
-  /// survives past the end of the batch — the carried state is exactly
-  /// Algorithm R's (sample, stream position). An adversary that observes
-  /// the sampler between batches therefore learns nothing about future
-  /// acceptances; batching only *coarsens* the adaptivity granularity, so
-  /// Theorem 1.2's guarantee applies a fortiori.
+  /// Adversarial-model note: no skip state survives past the end of the
+  /// batch — unlike Li's Algorithm L, which pre-commits its next
+  /// acceptance position — so the carried state is exactly Algorithm R's
+  /// (sample, stream position). An adversary that observes the sampler
+  /// between batches therefore learns nothing about future acceptances;
+  /// batching only *coarsens* the adaptivity granularity, so Theorem 1.2's
+  /// guarantee applies a fortiori.
   ///
   /// `last_kept()` refers to the final element of the batch;
   /// `last_evicted()` is not tracked across a batch and reads empty.
@@ -250,85 +251,6 @@ class ReservoirSampler {
   size_t stream_size_ = 0;
   bool last_kept_ = false;
   std::optional<T> last_evicted_;
-};
-
-/// Skip-optimized reservoir sampling ("Algorithm L", Li 1994).
-///
-/// Produces a sample with exactly the same distribution as
-/// `ReservoirSampler` but in expected O(k (1 + log(n/k))) random draws by
-/// geometrically skipping runs of rejected elements. The skip lengths are
-/// chosen independently of element values, so the distribution of kept
-/// *positions* matches Algorithm R even on adaptively chosen streams; it is
-/// offered as the high-throughput variant (ablation T1 in DESIGN.md).
-///
-/// Note on the adversarial model: Algorithm L pre-commits its next
-/// acceptance position, so its internal state reveals strictly more to an
-/// adversary than Algorithm R's (the adversary learns which *future* round
-/// will be sampled). Theorem 1.2's martingale analysis does not cover that
-/// leak; use `ReservoirSampler` inside adversarial games and reserve this
-/// class for static / throughput settings. (Tests verify the distributional
-/// equivalence on static streams.)
-template <typename T>
-class SkipReservoirSampler {
- public:
-  /// Creates a reservoir of capacity `k`. Requires k >= 1.
-  SkipReservoirSampler(size_t k, uint64_t seed) : k_(k), rng_(seed) {
-    RS_CHECK_MSG(k >= 1, "reservoir capacity must be >= 1");
-    sample_.reserve(k);
-  }
-
-  /// Processes one stream element.
-  void Insert(const T& x) {
-    ++stream_size_;
-    if (sample_.size() < k_) {
-      sample_.push_back(x);
-      last_kept_ = true;
-      if (sample_.size() == k_) ScheduleNextAcceptance();
-      return;
-    }
-    if (stream_size_ == next_accept_) {
-      const uint64_t slot = rng_.NextBelow(k_);
-      sample_[slot] = x;
-      last_kept_ = true;
-      ScheduleNextAcceptance();
-    } else {
-      last_kept_ = false;
-    }
-  }
-
-  /// The current reservoir contents.
-  const std::vector<T>& sample() const { return sample_; }
-
-  /// Number of stream elements processed so far.
-  size_t stream_size() const { return stream_size_; }
-
-  /// Whether the most recently inserted element entered the reservoir.
-  bool last_kept() const { return last_kept_; }
-
-  /// The reservoir capacity k.
-  size_t capacity() const { return k_; }
-
- private:
-  void ScheduleNextAcceptance() {
-    // Algorithm L: maintain w = max over the reservoir of u_i^{1/k}; the
-    // number of skipped elements until the next acceptance is
-    // floor(log(u) / log(1 - w)).
-    w_ *= std::exp(std::log(rng_.NextDouble()) / static_cast<double>(k_));
-    const double u = rng_.NextDouble();
-    const double skip = std::floor(std::log(u) / std::log1p(-w_));
-    // Guard against numerical blowup near w_ -> 0 (astronomically long skip).
-    const double capped =
-        std::min(skip, 9.0e18);  // ~2^63, unreachable in practice
-    next_accept_ = stream_size_ + 1 + static_cast<uint64_t>(capped);
-  }
-
-  size_t k_;
-  Rng rng_;
-  std::vector<T> sample_;
-  size_t stream_size_ = 0;
-  uint64_t next_accept_ = 0;
-  double w_ = 1.0;
-  bool last_kept_ = false;
 };
 
 }  // namespace robust_sampling

@@ -59,7 +59,10 @@ namespace net {
 // Malformed input never propagates: a frame or snapshot that fails to
 // parse is counted (rs_net_collector_rejects_total), flight-recorded, the
 // shipper gets a kMalformed ack when the channel still works, and the
-// connection is dropped — fail closed, never merge garbage.
+// connection is dropped — fail closed, never merge garbage. Every query,
+// over the wire or in process, passes one check first (QueryStatusLocked):
+// an argument outside its kind's domain is refused with kMalformed (the
+// connection stays open), and a view holding no element answers kEmpty.
 // ---------------------------------------------------------------------------
 
 namespace internal {
@@ -165,12 +168,13 @@ class Collector {
     return latest_.size();
   }
 
-  /// Local (in-process) views of the merged state — the same lock and
-  /// sketch the network queries use, so a bench can compare in-process
-  /// truth against over-the-wire answers.
+  /// Local (in-process) views of the merged state — the same lock, check
+  /// and sketch the network queries use, so a bench can compare in-process
+  /// truth against over-the-wire answers. nullopt wherever a network query
+  /// would get a status other than kOk.
   std::optional<double> Quantile(double q) const {
     std::lock_guard<std::mutex> lock(state_mu_);
-    if (!merged_.valid() || !merged_.Supports(kCapQuantiles)) {
+    if (QueryStatusLocked(QueryKind::kQuantile, q) != Status::kOk) {
       return std::nullopt;
     }
     return merged_.Quantile(q);
@@ -178,7 +182,7 @@ class Collector {
 
   std::optional<double> EstimateFrequency(const T& x) const {
     std::lock_guard<std::mutex> lock(state_mu_);
-    if (!merged_.valid() || !merged_.Supports(kCapFrequencies)) {
+    if (QueryStatusLocked(QueryKind::kFrequency, 0.0) != Status::kOk) {
       return std::nullopt;
     }
     return merged_.EstimateFrequency(x);
@@ -186,7 +190,7 @@ class Collector {
 
   std::optional<std::vector<HeavyHitter>> HeavyHitters(double phi) const {
     std::lock_guard<std::mutex> lock(state_mu_);
-    if (!merged_.valid() || !merged_.Supports(kCapHeavyHitters)) {
+    if (QueryStatusLocked(QueryKind::kHeavyHitters, phi) != Status::kOk) {
       return std::nullopt;
     }
     return merged_.HeavyHitters(phi);
@@ -422,32 +426,60 @@ class Collector {
     }
     wire::BufferSink result;
     wire::BufferSink response;
+    Status status = Status::kOk;
     {
       // One view for the answer and its freshness: callers learn what the
       // merge was missing (watermark floor, staleness ceiling) alongside
       // the result, and no ship can land between the two.
       std::lock_guard<std::mutex> lock(state_mu_);
-      const Status status = AnswerLocked(kind, arg, x, result);
-      const QueryFreshness fresh = RefreshFreshnessLocked(WallClockNanos());
-      wire::PutVarint(response, static_cast<uint64_t>(status));
-      wire::PutVarint(response, fresh.contributing_shippers);
-      wire::PutVarint(response, fresh.min_watermark);
-      wire::PutVarint(response, fresh.max_staleness_ns);
+      status = QueryStatusLocked(kind, arg);
+      if (status != Status::kMalformed) {
+        if (status == Status::kOk) AnswerLocked(kind, arg, x, result);
+        const QueryFreshness fresh = RefreshFreshnessLocked(WallClockNanos());
+        wire::PutVarint(response, static_cast<uint64_t>(status));
+        wire::PutVarint(response, fresh.contributing_shippers);
+        wire::PutVarint(response, fresh.min_watermark);
+        wire::PutVarint(response, fresh.max_staleness_ns);
+      }
+    }
+    if (status == Status::kMalformed) {
+      // An argument outside the kind's domain is the client's mistake:
+      // refuse it status-only and keep serving this connection.
+      RecordReject("collector query: argument out of range");
+      return WriteStatusMessage(sink, MessageType::kQueryResult, status);
     }
     response.Append(result.bytes().data(), result.bytes().size());
     return WriteMessage(sink, MessageType::kQueryResult, response.bytes());
   }
 
-  /// Answers one parsed query from merged_ into `result` (empty unless
-  /// kOk). `arg` is q for kQuantile and phi for kHeavyHitters.
-  Status AnswerLocked(QueryKind kind, double arg, const T& x,
-                      wire::BufferSink& result) const {
+  /// The one check in front of every query, network or in-process: kOk
+  /// exactly when merged_ can answer `kind` at `arg` (q for kQuantile, phi
+  /// for kHeavyHitters, unused for kFrequency) without reaching any kind's
+  /// RS_CHECK. q must lie in [0, 1] and phi in (0, 1] — NaN and the
+  /// infinities fail both ranges — else kMalformed. A view that holds no
+  /// element (nothing merged, nothing ingested, or an empty sample) is
+  /// kEmpty for every kind.
+  Status QueryStatusLocked(QueryKind kind, double arg) const {
+    if (kind == QueryKind::kQuantile && !(arg >= 0.0 && arg <= 1.0)) {
+      return Status::kMalformed;
+    }
+    if (kind == QueryKind::kHeavyHitters && !(arg > 0.0 && arg <= 1.0)) {
+      return Status::kMalformed;
+    }
+    if (!merged_.valid() || merged_.StreamSize() == 0 ||
+        (merged_.Supports(kCapSampleView) && merged_.SpaceItems() == 0)) {
+      return Status::kEmpty;
+    }
     const SketchCapability need =
         kind == QueryKind::kQuantile       ? kCapQuantiles
         : kind == QueryKind::kHeavyHitters ? kCapHeavyHitters
                                            : kCapFrequencies;
-    if (!merged_.valid()) return Status::kEmpty;
-    if (!merged_.Supports(need)) return Status::kUnsupported;
+    return merged_.Supports(need) ? Status::kOk : Status::kUnsupported;
+  }
+
+  /// Writes the answer to a query that QueryStatusLocked passed.
+  void AnswerLocked(QueryKind kind, double arg, const T& x,
+                    wire::BufferSink& result) const {
     if (kind == QueryKind::kQuantile) {
       wire::PutDouble(result, merged_.Quantile(arg));
     } else if (kind == QueryKind::kHeavyHitters) {
@@ -460,7 +492,6 @@ class Collector {
     } else {
       wire::PutDouble(result, merged_.EstimateFrequency(x));
     }
-    return Status::kOk;
   }
 
   /// Recomputes the per-shipper staleness gauges against `now_wall_ns` and

@@ -65,15 +65,15 @@ enum class QueryKind : uint64_t {
 /// Response / ack status codes.
 enum class Status : uint64_t {
   kOk = 0,
-  kMalformed = 1,    // payload failed to parse or snapshot failed revival
+  kMalformed = 1,    // unparsable payload or snapshot, out-of-range argument
   kUnsupported = 2,  // merged sketch lacks the queried capability
-  kEmpty = 3,        // no snapshots merged yet
+  kEmpty = 3,        // no element merged yet
 };
 
 /// Wall-clock nanoseconds since the Unix epoch. Freshness stamps cross
 /// node boundaries, so this is system_clock — not the steady clock behind
-/// obs::NowNanos() — and deliberately independent of RS_METRICS (the
-/// stamps are protocol data, not instrumentation).
+/// obs::NowNanos() — and deliberately independent of the obs runtime
+/// switch (the stamps are protocol data, not instrumentation).
 inline uint64_t WallClockNanos() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(

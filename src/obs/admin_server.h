@@ -21,8 +21,7 @@
 //
 // Services add their own views with RegisterHandler ("/shippers" on
 // Collector<T> is the first embedder). The server binds loopback only: it
-// is an operator plane, not a public surface. Works identically under
-// RS_METRICS=OFF — the exports are just empty. See docs/observability.md.
+// is an operator plane, not a public surface. See docs/observability.md.
 // ---------------------------------------------------------------------------
 
 #include <atomic>

@@ -32,8 +32,8 @@ struct MetricDescriptor {
   const char* help;
 };
 
-/// Every standard metric, in catalog order. Available (and identical)
-/// under RS_METRICS=OFF — it is static data, not registry state.
+/// Every standard metric, in catalog order. Static data, not registry
+/// state: available whether or not the metrics are enabled at runtime.
 const std::vector<MetricDescriptor>& AllMetricDescriptors();
 
 // --- pipeline (src/pipeline/) --------------------------------------------

@@ -15,8 +15,6 @@ FlightRecorder& FlightRecorder::Global() {
   return *recorder;
 }
 
-#if RS_METRICS_ENABLED
-
 namespace {
 
 struct ThreadRing {
@@ -269,20 +267,6 @@ void FlightRecorder::SetErrorHook(
   std::lock_guard<std::mutex> lock(state->hook_mu);
   state->hook = std::move(hook);
 }
-
-#else  // !RS_METRICS_ENABLED
-
-void FlightRecorder::Record(TraceEventKind, const char*, std::string_view,
-                            uint64_t) {}
-std::string FlightRecorder::Dump() const { return ""; }
-std::string FlightRecorder::LastErrorDump() const { return ""; }
-std::string FlightRecorder::DumpChromeTraceJson() const {
-  return "{\"traceEvents\":[]}";
-}
-void FlightRecorder::RecordError(const char*, std::string_view, uint64_t) {}
-void FlightRecorder::SetErrorHook(std::function<void(const std::string&)>) {}
-
-#endif  // RS_METRICS_ENABLED
 
 }  // namespace obs
 }  // namespace robust_sampling

@@ -19,16 +19,15 @@
 // pipeline checkpoint/restore failure paths call RecordError, so a
 // corrupt restore or failed checkpoint leaves the event trail that led to
 // it instead of nothing. See docs/observability.md.
-//
-// Compiled to no-ops (empty Dump) under RS_METRICS=OFF.
 // ---------------------------------------------------------------------------
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
 
-#include "obs/metrics.h"  // RS_METRICS_ENABLED
+#include "obs/metrics.h"  // NowNanos
 
 namespace robust_sampling {
 namespace obs {
@@ -75,20 +74,19 @@ class FlightRecorder {
                    uint64_t arg = 0);
 
   /// Every surviving event from every thread, merged in sequence order,
-  /// one line per event. Empty under RS_METRICS=OFF.
+  /// one line per event.
   std::string Dump() const;
 
   /// The merged dump captured by the most recent RecordError(), even after
   /// the print-once default hook has fired (services scrape it via the
-  /// admin plane's /trace endpoint). Empty until the first error and under
-  /// RS_METRICS=OFF.
+  /// admin plane's /trace endpoint). Empty until the first error.
   std::string LastErrorDump() const;
 
   /// Every surviving event as Perfetto-loadable chrome-trace JSON
   /// ({"traceEvents":[...]}): span begin/end become "B"/"E" events, marks
   /// and errors become instants; ts is microseconds, tid is the recording
-  /// thread's ring id. Always valid JSON — `{"traceEvents":[]}` when empty
-  /// or under RS_METRICS=OFF.
+  /// thread's ring id. Always valid JSON — `{"traceEvents":[]}` when
+  /// empty.
   std::string DumpChromeTraceJson() const;
 
   /// Replaces the error hook; nullptr restores the default (print the
@@ -97,18 +95,15 @@ class FlightRecorder {
 
  private:
   FlightRecorder() = default;
-#if RS_METRICS_ENABLED
   struct Impl;
   Impl* impl();
   std::atomic<Impl*> impl_{nullptr};
-#endif
 };
 
 /// RAII span: records kSpanBegin at construction and kSpanEnd (with the
 /// elapsed nanoseconds as `arg`) at destruction.
 class TraceSpan {
  public:
-#if RS_METRICS_ENABLED
   TraceSpan(const char* category, std::string_view detail)
       : category_(category), start_ns_(NowNanos()) {
     const size_t n = detail.size() < sizeof(detail_) - 1
@@ -123,16 +118,13 @@ class TraceSpan {
     FlightRecorder::Global().Record(TraceEventKind::kSpanEnd, category_,
                                     detail_, NowNanos() - start_ns_);
   }
+  TraceSpan(const TraceSpan&) = delete;
+  TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
   const char* category_;
   uint64_t start_ns_;
   char detail_[kTraceDetailBytes] = {};
-#else
-  TraceSpan(const char*, std::string_view) {}
-#endif
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
 };
 
 }  // namespace obs

@@ -16,8 +16,6 @@ MetricRegistry& MetricRegistry::Global() {
   return *registry;
 }
 
-#if RS_METRICS_ENABLED
-
 namespace internal {
 
 namespace {
@@ -303,43 +301,6 @@ std::vector<std::string> MetricRegistry::Names() const {
   for (const auto& [key, entry] : impl->entries) names.push_back(key);
   return names;
 }
-
-#else  // !RS_METRICS_ENABLED
-
-namespace {
-Counter g_dummy_counter;
-Gauge g_dummy_gauge;
-Histogram g_dummy_histogram;
-}  // namespace
-
-Counter* MetricRegistry::GetCounter(const std::string&, const std::string&,
-                                    const MetricLabel&) {
-  return &g_dummy_counter;
-}
-
-Gauge* MetricRegistry::GetGauge(const std::string&, const std::string&,
-                                const MetricLabel&) {
-  return &g_dummy_gauge;
-}
-
-Histogram* MetricRegistry::GetHistogram(const std::string&,
-                                        const std::string&,
-                                        const MetricLabel&) {
-  return &g_dummy_histogram;
-}
-
-MarkdownTable MetricRegistry::ToTable() const {
-  return MarkdownTable(
-      {"metric", "type", "value", "count", "p50", "p90", "p99", "max"});
-}
-
-std::string MetricRegistry::ToJson() const { return "[]"; }
-
-std::string MetricRegistry::ToPrometheusText() const { return ""; }
-
-std::vector<std::string> MetricRegistry::Names() const { return {}; }
-
-#endif  // RS_METRICS_ENABLED
 
 }  // namespace obs
 }  // namespace robust_sampling

@@ -12,10 +12,9 @@
 //    thread writes its own stripe with one relaxed fetch_add) and are
 //    aggregated only at read time. Registry lookups (mutex + map) happen at
 //    registration, never on the update path — call sites cache pointers.
-//  * Compile-time escape hatch: configuring with -DRS_METRICS=OFF defines
-//    RS_METRICS_OFF, which compiles every update to a no-op on an empty
-//    type (no atomics, no clock reads, no statics with guards) while the
-//    API keeps its shape so call sites build unchanged.
+//  * One switch: SetRuntimeEnabled(false) turns every update into one
+//    relaxed load and a return. No build mode compiles the metrics out;
+//    docs/observability.md records the A/B that showed none is needed.
 //  * No dependencies outside the standard library, so every layer —
 //    core/, wire/, pipeline/, attacklab/ — may instrument freely.
 //
@@ -28,21 +27,12 @@
 // ---------------------------------------------------------------------------
 
 #include <atomic>
+#include <bit>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#if defined(RS_METRICS_OFF)
-#define RS_METRICS_ENABLED 0
-#else
-#define RS_METRICS_ENABLED 1
-#endif
-
-#if RS_METRICS_ENABLED
-#include <bit>
-#include <chrono>
-#endif
 
 namespace robust_sampling {
 
@@ -71,21 +61,17 @@ inline constexpr size_t kStripes = 16;
 /// ~4.6 minutes — far past any in-process latency this repo measures.
 inline constexpr size_t kHistogramBuckets = 40;
 
-#if RS_METRICS_ENABLED
-
 namespace internal {
 /// This thread's stripe index (assigned on first use).
 size_t ThreadStripe();
 }  // namespace internal
 
 /// Runtime kill switch, used by benches to measure instrumented vs
-/// uninstrumented throughput in one binary (bench_t3's obs-off row). The
-/// compile-time RS_METRICS=OFF hatch removes even the check.
+/// uninstrumented throughput in one binary (bench_t3's obs-off row).
 void SetRuntimeEnabled(bool enabled);
 bool RuntimeEnabled();
 
-/// Monotonic nanoseconds (steady clock). Compiles to `return 0` under
-/// RS_METRICS=OFF so manual `NowNanos()` spans vanish with the metrics.
+/// Monotonic nanoseconds (steady clock).
 inline uint64_t NowNanos() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -205,58 +191,19 @@ class Histogram {
   Stripe stripes_[kStripes];
 };
 
-#else  // !RS_METRICS_ENABLED — every update is a no-op on an empty type.
-
-inline void SetRuntimeEnabled(bool) {}
-inline bool RuntimeEnabled() { return false; }
-inline uint64_t NowNanos() { return 0; }
-
-class Counter {
- public:
-  void Increment(uint64_t = 1) {}
-  uint64_t Value() const { return 0; }
-};
-
-class Gauge {
- public:
-  void Set(int64_t) {}
-  void Add(int64_t) {}
-  void SetMax(int64_t) {}
-  int64_t Value() const { return 0; }
-};
-
-class Histogram {
- public:
-  void Observe(uint64_t) {}
-  struct Aggregate {
-    uint64_t count = 0;
-    uint64_t sum = 0;
-    uint64_t buckets[kHistogramBuckets] = {};
-    uint64_t ApproxQuantile(double) const { return 0; }
-    uint64_t ApproxMax() const { return 0; }
-  };
-  Aggregate Read() const { return {}; }
-};
-
-#endif  // RS_METRICS_ENABLED
-
 /// RAII latency span: records elapsed nanoseconds into `histogram` at
-/// scope exit. Compiles away (no clock reads) under RS_METRICS=OFF.
+/// scope exit.
 class ScopedLatencyTimer {
  public:
-#if RS_METRICS_ENABLED
   explicit ScopedLatencyTimer(Histogram& histogram)
       : histogram_(histogram), start_ns_(NowNanos()) {}
   ~ScopedLatencyTimer() { histogram_.Observe(NowNanos() - start_ns_); }
+  ScopedLatencyTimer(const ScopedLatencyTimer&) = delete;
+  ScopedLatencyTimer& operator=(const ScopedLatencyTimer&) = delete;
 
  private:
   Histogram& histogram_;
   uint64_t start_ns_;
-#else
-  explicit ScopedLatencyTimer(Histogram&) {}
-#endif
-  ScopedLatencyTimer(const ScopedLatencyTimer&) = delete;
-  ScopedLatencyTimer& operator=(const ScopedLatencyTimer&) = delete;
 };
 
 /// Process-global metric registry. Get* registers on first use and returns
@@ -284,11 +231,11 @@ class MetricRegistry {
 
   /// ToTable() rendered as a JSON array of row objects (numeric cells
   /// unquoted) — the payload benches embed into BENCH_*.json under
-  /// `"metrics"` when run with --metrics. "[]" under RS_METRICS=OFF.
+  /// `"metrics"` when run with --metrics.
   std::string ToJson() const;
 
   /// Prometheus text exposition format (# HELP/# TYPE lines, cumulative
-  /// `_bucket{le=...}` histogram series). "" under RS_METRICS=OFF.
+  /// `_bucket{le=...}` histogram series).
   std::string ToPrometheusText() const;
 
   /// Registered full names (label-qualified), sorted.
@@ -296,11 +243,9 @@ class MetricRegistry {
 
  private:
   MetricRegistry() = default;
-#if RS_METRICS_ENABLED
   struct Impl;
   Impl* impl();  // lazily built, leaked on exit (threads may outlive main)
   std::atomic<Impl*> impl_{nullptr};
-#endif
 };
 
 }  // namespace obs

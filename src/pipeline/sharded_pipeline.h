@@ -78,12 +78,6 @@ struct PipelineOptions {
   /// Requires >= 1. Memory cost is one ring per (producer, shard) pair,
   /// paid at construction.
   size_t max_producers = 1;
-  /// Hash-partition strategy: true (default) buckets an entire batch into
-  /// per-shard runs in one counting-sort-style pass over a single pooled
-  /// buffer; false keeps the per-element routing loop into per-shard
-  /// staging buffers (the pre-multi-producer reference path, retained so
-  /// tests can assert the two are bit-identical).
-  bool vectorized_hash_partition = true;
 };
 
 /// Sharded, batched, multi-producer stream-ingestion engine.
@@ -206,7 +200,6 @@ class ShardedPipeline {
         lane->ring.AttachConsumerGate(&pipeline->shards_[s]->gate);
         lanes_.push_back(std::move(lane));
       }
-      staging_.resize(options.num_shards, nullptr);
       elements_metric_ = &obs::PipelineProducerElements(index);
     }
 
@@ -266,25 +259,16 @@ class ShardedPipeline {
       pool_.Release(buffer);  // drop the producer ref; slices keep it alive
     }
 
-    void IngestHashed(std::span<const T> batch) {
-      obs::ScopedLatencyTimer timer(obs::PipelinePartitionNs());
-      if (pipeline_->options_.vectorized_hash_partition) {
-        IngestHashedVectorized(batch);
-      } else {
-        IngestHashedPerElement(batch);
-      }
-    }
-
     /// Vectorized hash partition: one counting-sort-style pass buckets the
     /// whole batch into per-shard contiguous runs of a single pooled
     /// buffer, then publishes one slice per non-empty run. Three tight
     /// loops (hash+count, prefix-sum, scatter) with no per-element
-    /// branching on ring state — this replaces the per-element
-    /// route-then-append loop that serialized the old hash path. Scratch
-    /// vectors keep their capacity across batches (allocation-free after
-    /// warm-up). Bit-identical to the per-element path: the scatter is
-    /// stable, so each shard receives the same elements in the same order.
-    void IngestHashedVectorized(std::span<const T> batch) {
+    /// branching on ring state. Scratch vectors keep their capacity across
+    /// batches (allocation-free after warm-up). The scatter is stable, so
+    /// each shard receives its elements in stream order — the routing
+    /// oracle in tests/multi_producer_test.cc checks it shard by shard.
+    void IngestHashed(std::span<const T> batch) {
+      obs::ScopedLatencyTimer timer(obs::PipelinePartitionNs());
       const size_t n = pipeline_->shards_.size();
       const size_t m = batch.size();
       shard_of_.resize(m);
@@ -315,28 +299,6 @@ class ShardedPipeline {
       pool_.Release(buffer);
     }
 
-    /// Per-element hash scatter (reference path): route each element as it
-    /// is seen into per-shard pooled staging buffers. Retained behind
-    /// `vectorized_hash_partition = false` as the bit-identity oracle for
-    /// the vectorized pass (tests/multi_producer_test.cc).
-    void IngestHashedPerElement(std::span<const T> batch) {
-      const size_t n = pipeline_->shards_.size();
-      for (size_t s = 0; s < n; ++s) {
-        staging_[s] = pool_.Acquire();
-        staging_[s]->data.clear();
-      }
-      for (const T& x : batch) {
-        staging_[static_cast<size_t>(HashElement(x) % n)]->data.push_back(x);
-      }
-      for (size_t s = 0; s < n; ++s) {
-        BatchBuffer<T>* buffer = std::exchange(staging_[s], nullptr);
-        if (!buffer->data.empty()) {
-          PushSlice(s, pool_.MakeSlice(buffer, 0, buffer->data.size()));
-        }
-        pool_.Release(buffer);
-      }
-    }
-
     void PushSlice(size_t shard, BatchSlice<T> slice) {
       Lane& lane = *lanes_[shard];
       if (lane.ring.Push(std::move(slice))) {
@@ -359,7 +321,6 @@ class ShardedPipeline {
     // Round-robin cursor; atomic only for the Checkpoint read, the owning
     // producer thread is the sole writer.
     std::atomic<uint64_t> rr_start_{0};
-    std::vector<BatchBuffer<T>*> staging_;  // per-element hash reference
     // Vectorized-partition scratch (capacity sticky across batches).
     std::vector<uint32_t> shard_of_;
     std::vector<size_t> counts_;
@@ -396,9 +357,7 @@ class ShardedPipeline {
     if (options.prewarm_batch_elements > 0) {
       // Worst-case in-flight buffers per producer: every ring slot in its
       // row plus one batch in each worker's hands plus the one being
-      // filled (the per-element hash reference path pins one buffer per
-      // shard per batch; the vectorized and round-robin paths strictly
-      // fewer).
+      // filled (each batch pins at most one pooled buffer).
       const size_t ring_cap = producers_[0]->lanes_[0]->ring.capacity();
       for (auto& producer : producers_) {
         producer->pool_.Reserve(options.num_shards * (ring_cap + 2) + 2,

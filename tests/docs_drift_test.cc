@@ -75,8 +75,7 @@ TEST(DocsDriftTest, CapabilityMatrixCoversTheCapabilityEnum) {
 
 // Every metric in the obs catalog must be documented in
 // docs/observability.md — same inline-code-span convention as the
-// registry doc. The catalog is static data, so this holds in both
-// RS_METRICS build modes.
+// registry doc.
 TEST(DocsDriftTest, EveryRegisteredMetricIsDocumented) {
   const std::string doc = ReadDoc("docs/observability.md");
   ASSERT_FALSE(doc.empty());

@@ -5,10 +5,10 @@
 // and checkpoint/restore — while the workers race them. Tiny ring
 // capacities keep every blocking edge hot.
 //
-// Also the bit-identity oracle for the vectorized hash-partition pass:
-// with a single producer, the counting-sort scatter must yield exactly
-// the per-shard sequences of the per-element routing path, asserted as
-// checkpoint *byte* equality for CountMin and SpaceSaving.
+// Also the routing oracle for the vectorized hash-partition pass: with a
+// single producer, every shard's checkpointed state must equal a sketch
+// fed that shard's elements by a reference router in this file, byte for
+// byte, for CountMin and SpaceSaving.
 //
 // This file is part of the TSan CI job (test regex `^(pipeline|obs|
 // multi_producer)`): the per-lane pushed/completed flush fence replaced a
@@ -21,8 +21,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <iterator>
 #include <span>
 #include <string>
 #include <thread>
@@ -31,8 +29,11 @@
 #include "core/random.h"
 #include "gtest/gtest.h"
 #include "pipeline/sharded_pipeline.h"
+#include "pipeline/sketch_registry.h"
 #include "pipeline/stream_sketch.h"
 #include "stream/generators.h"
+#include "wire/codec.h"
+#include "wire/snapshot.h"
 
 namespace robust_sampling {
 namespace {
@@ -40,12 +41,6 @@ namespace {
 std::string TempPath(const std::string& name) {
   const char* dir = std::getenv("TMPDIR");
   return std::string(dir != nullptr ? dir : "/tmp") + "/" + name;
-}
-
-std::vector<char> ReadAllBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::vector<char>(std::istreambuf_iterator<char>(in),
-                           std::istreambuf_iterator<char>());
 }
 
 SketchConfig CountMinConfig(uint64_t seed) {
@@ -237,46 +232,80 @@ TEST(MultiProducerTest, CheckpointRestoreUnderConcurrentIngestion) {
   std::remove(final_path.c_str());
 }
 
-// --- vectorized hash partition bit-identity ---------------------------------
+// --- hash-partition routing oracle -----------------------------------------
 
-// The counting-sort scatter and the per-element routing loop must deliver
-// the same elements in the same order to every shard. Order matters for
-// SpaceSaving (evictions depend on arrival order), so checkpoint *byte*
-// equality across the two paths is the strongest possible statement:
-// every shard's full serialized state — counters, heap order and all — is
-// identical.
-void ExpectPartitionPathsBitIdentical(const SketchConfig& config) {
+// Each shard's serialized state in a checkpoint, read back in shard order.
+std::vector<std::vector<uint8_t>> CheckpointShardStates(
+    const std::string& path) {
+  wire::FileSource file(path);
+  std::vector<uint8_t> body;
+  std::string error;
+  const char magic[4] = {'R', 'S', 'C', 'K'};
+  EXPECT_TRUE(wire::ReadFramedBody(file, magic, &body, &error)) << error;
+  wire::BufferSource source(body);
+  SketchConfig config;
+  uint64_t num_shards = 0, rr_start = 0, total_ingested = 0;
+  EXPECT_TRUE(wire::ReadRevivalPrologue(source, &config, &error,
+                                        SketchRegistry<int64_t>::Global()) &&
+              wire::GetVarint(source, &num_shards) &&
+              wire::GetVarint(source, &rr_start) &&
+              wire::GetVarint(source, &total_ingested))
+      << error;
+  std::vector<std::vector<uint8_t>> shards(num_shards);
+  for (auto& shard : shards) {
+    EXPECT_TRUE(wire::GetBytes(source, &shard, wire::kMaxBodyBytes));
+  }
+  return shards;
+}
+
+// The vectorized scatter must deliver every element x to shard
+// MixSeed(x, 0x9e3779b97f4a7c15) % 4, in stream order. The reference
+// routes each element itself into per-shard sketches seeded as the
+// pipeline seeds them, and every shard's serialized state must match
+// byte for byte. Shard by shard on purpose: CountMin merges linearly, so
+// a misrouted element would not change the merged snapshot; order
+// matters for SpaceSaving, whose evictions follow arrival order.
+void ExpectHashPartitionMatchesReference(const SketchConfig& config) {
+  constexpr size_t kShards = 4;
   const auto stream = ZipfIntStream(100000, 3000, 1.1, 1399);
-  auto run = [&](bool vectorized) {
-    PipelineOptions options;
-    options.num_shards = 4;
-    options.partition = PartitionPolicy::kHash;
-    options.ring_capacity = 8;
-    options.vectorized_hash_partition = vectorized;
-    ShardedPipeline<int64_t> pipeline(config, options);
-    Rng rng(1409);  // same batch boundaries for both runs
-    size_t offset = 0;
-    while (offset < stream.size()) {
-      const size_t len = std::min<size_t>(1 + rng.NextBelow(777),
-                                          stream.size() - offset);
-      pipeline.Ingest(std::span<const int64_t>(stream.data() + offset, len));
-      offset += len;
-    }
-    const std::string path = TempPath(
-        "multi_producer_identity_" + config.kind +
-        (vectorized ? "_vec.ck" : "_ref.ck"));
-    std::string error;
-    EXPECT_TRUE(pipeline.Checkpoint(path, &error)) << error;
-    std::vector<char> bytes = ReadAllBytes(path);
-    std::remove(path.c_str());
-    EXPECT_FALSE(bytes.empty());
-    return bytes;
-  };
-  EXPECT_EQ(run(true), run(false)) << config.kind;
+  PipelineOptions options;
+  options.num_shards = kShards;
+  options.partition = PartitionPolicy::kHash;
+  options.ring_capacity = 8;
+  ShardedPipeline<int64_t> pipeline(config, options);
+  Rng rng(1409);
+  for (size_t offset = 0; offset < stream.size();) {
+    const size_t len = std::min<size_t>(1 + rng.NextBelow(777),
+                                        stream.size() - offset);
+    pipeline.Ingest(std::span<const int64_t>(stream.data() + offset, len));
+    offset += len;
+  }
+  const std::string path =
+      TempPath("multi_producer_routing_" + config.kind + ".ck");
+  std::string error;
+  ASSERT_TRUE(pipeline.Checkpoint(path, &error)) << error;
+  const auto shards = CheckpointShardStates(path);
+  std::remove(path.c_str());
+  ASSERT_EQ(shards.size(), kShards);
+
+  std::vector<StreamSketch<int64_t>> reference;
+  for (size_t s = 0; s < kShards; ++s) {
+    reference.push_back(SketchRegistry<int64_t>::Global().Create(
+        config, MixSeed(config.seed, uint64_t{s})));
+  }
+  for (int64_t x : stream) {
+    const uint64_t h = MixSeed(static_cast<uint64_t>(x), 0x9e3779b97f4a7c15);
+    reference[h % kShards].Insert(x);
+  }
+  for (size_t s = 0; s < kShards; ++s) {
+    wire::BufferSink expected;
+    reference[s].SerializeTo(expected);
+    EXPECT_EQ(shards[s], expected.bytes()) << config.kind << " shard " << s;
+  }
 }
 
 TEST(MultiProducerTest, VectorizedPartitionBitIdenticalCountMin) {
-  ExpectPartitionPathsBitIdentical(CountMinConfig(1423));
+  ExpectHashPartitionMatchesReference(CountMinConfig(1423));
 }
 
 TEST(MultiProducerTest, VectorizedPartitionBitIdenticalSpaceSaving) {
@@ -284,7 +313,7 @@ TEST(MultiProducerTest, VectorizedPartitionBitIdenticalSpaceSaving) {
   config.kind = "space_saving";
   config.capacity = 64;
   config.seed = 1427;
-  ExpectPartitionPathsBitIdentical(config);
+  ExpectHashPartitionMatchesReference(config);
 }
 
 // --- flush fencing ----------------------------------------------------------

@@ -16,7 +16,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -302,11 +304,29 @@ TEST(CollectorTest, QuantileQueriesMatchLocalMerge) {
 
   net::CollectorClient<int64_t> client;
   ASSERT_TRUE(client.Connect("127.0.0.1", collector.port()));
-  for (double q : {0.1, 0.25, 0.5, 0.75, 0.9, 0.99}) {
+  for (double q : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0}) {
     double over_wire = -1.0;
     ASSERT_TRUE(client.Quantile(q, &over_wire));
     EXPECT_DOUBLE_EQ(over_wire, sketch.Quantile(q)) << q;
+    // The in-process query passes the same check and reads the same view.
+    const std::optional<double> local = collector.Quantile(q);
+    ASSERT_TRUE(local.has_value()) << q;
+    EXPECT_DOUBLE_EQ(*local, over_wire) << q;
   }
+  // An out-of-range q over the wire is refused status-only and counted as
+  // a reject, and the connection keeps serving.
+  double refused = -1.0;
+  net::Status status = net::Status::kOk;
+  EXPECT_FALSE(client.Quantile(1.5, &refused, &status));
+  EXPECT_EQ(status, net::Status::kMalformed);
+  EXPECT_EQ(collector.rejects(), uint64_t{1});
+  EXPECT_TRUE(client.Quantile(0.5, &refused));
+  // Where the wire refuses, the in-process query has no answer either.
+  EXPECT_FALSE(collector.Quantile(1.5).has_value());
+  EXPECT_FALSE(
+      collector.Quantile(std::numeric_limits<double>::quiet_NaN())
+          .has_value());
+  EXPECT_FALSE(collector.HeavyHitters(0.0).has_value());
   collector.Stop();
 }
 
@@ -319,6 +339,23 @@ TEST(CollectorTest, QueryBeforeAnyShipReportsEmpty) {
   net::Status status = net::Status::kOk;
   EXPECT_FALSE(client.Quantile(0.5, &q, &status));
   EXPECT_EQ(status, net::Status::kEmpty);
+
+  // A node ships an empty sketch before its first element arrives. The
+  // view then exists but holds no element: still kEmpty, not an abort.
+  const SketchConfig config = KllConfig();
+  net::ShipperOptions ship;
+  ship.port = collector.port();
+  ship.shipper_id = 3;
+  net::SnapshotShipper shipper(ship);
+  shipper.Start();
+  shipper.Offer(SnapshotBytes(MakeSketch(config, {}), config));
+  ASSERT_TRUE(shipper.WaitUntilDrained(5000));
+  shipper.Stop();
+  ASSERT_EQ(collector.known_shippers(), size_t{1});
+  status = net::Status::kOk;
+  EXPECT_FALSE(client.Quantile(0.5, &q, &status));
+  EXPECT_EQ(status, net::Status::kEmpty);
+  EXPECT_FALSE(collector.Quantile(0.5).has_value());
   collector.Stop();
 }
 
@@ -508,9 +545,6 @@ TEST(CollectorTest, HalfOpenPeerDoesNotBlockOtherShippers) {
 }
 
 TEST(CollectorTest, FinishedConnectionThreadsAreReaped) {
-#if !RS_METRICS_ENABLED
-  GTEST_SKIP() << "reads the rs_net_connections gauge";
-#else
   net::Collector<int64_t> collector(net::CollectorOptions{});
   ASSERT_TRUE(collector.Start());
   const int64_t baseline = obs::NetConnections().Value();
@@ -531,7 +565,6 @@ TEST(CollectorTest, FinishedConnectionThreadsAreReaped) {
   }
   EXPECT_EQ(obs::NetConnections().Value(), baseline);
   collector.Stop();
-#endif
 }
 
 // --------------------------------------------- checkpoint / kill -9 ----
@@ -834,9 +867,6 @@ TEST(CollectorCheckpointTest, QueryCompletesWhileCheckpointWriterIsBlocked) {
 }
 
 TEST(CollectorCheckpointTest, ConcurrentShipsReviveOnceAndShareCheckpoints) {
-#if !RS_METRICS_ENABLED
-  GTEST_SKIP() << "counts work through the metrics registry";
-#else
   const std::string path = TempPath("net_collector_work.ck");
   std::remove(path.c_str());
   net::CollectorOptions options;
@@ -882,12 +912,12 @@ TEST(CollectorCheckpointTest, ConcurrentShipsReviveOnceAndShareCheckpoints) {
   EXPECT_LE(writes, ships);
   collector.Stop();
   std::remove(path.c_str());
-#endif
 }
 
 /// Forks a child that serves a checkpointing collector on `port` until it
-/// is killed; returns its pid once it accepts, or -1. Call only while no
-/// other thread runs in this process.
+/// is killed; returns its pid once it accepts, or -1. An empty `path`
+/// serves without checkpoints. Call only while no other thread runs in
+/// this process.
 pid_t ForkCheckpointingCollector(uint16_t port, const std::string& path) {
   int ready_pipe[2];
   if (pipe(ready_pipe) != 0) return -1;
@@ -1003,6 +1033,119 @@ TEST(CollectorCheckpointTest, Kill9AtSeededPointsLosesNoAckedShip) {
     restored.Stop();
   }
   std::remove(path.c_str());
+}
+
+// ------------------------------------ query arguments and empty views ----
+
+/// Sends one query of `kind` (`arg` is q, phi, or the element for
+/// kFrequency); true only on a kOk answer.
+bool Ask(net::CollectorClient<int64_t>& client, net::QueryKind kind,
+         double arg, net::Status* status) {
+  double value = 0.0;
+  std::vector<HeavyHitter> hits;
+  switch (kind) {
+    case net::QueryKind::kQuantile:
+      return client.Quantile(arg, &value, status);
+    case net::QueryKind::kHeavyHitters:
+      return client.HeavyHitters(arg, &hits, status);
+    case net::QueryKind::kFrequency:
+      return client.EstimateFrequency(static_cast<int64_t>(arg), &value,
+                                      status);
+  }
+  return false;
+}
+
+// No client query can abort the collector. Each probe ships one frame to
+// a collector in a forked child, then asks a question the merged view
+// cannot answer: an argument outside the kind's domain (kMalformed), or
+// a view that holds no element (kEmpty). The child must survive, and the
+// connection must stay open: the same question asked again on it gets
+// the same status.
+TEST(CollectorTest, NoClientQueryAbortsTheCollector) {
+  struct Probe {
+    const char* name;
+    SketchConfig config;
+    size_t elements;
+    net::QueryKind kind;
+    double arg;
+    net::Status expected;
+  };
+  SketchConfig reservoir;
+  reservoir.kind = "reservoir";
+  reservoir.capacity = 64;
+  SketchConfig robust;
+  robust.kind = "robust_sample";
+  SketchConfig bernoulli;
+  bernoulli.kind = "bernoulli";
+  bernoulli.probability = 0.0;  // sees every element, keeps none
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  using net::QueryKind;
+  using net::Status;
+  const std::vector<Probe> probes = {
+      {"kll q=1.5", KllConfig(), 1000, QueryKind::kQuantile, 1.5,
+       Status::kMalformed},
+      {"kll q=NaN", KllConfig(), 1000, QueryKind::kQuantile, nan,
+       Status::kMalformed},
+      {"kll q=-inf", KllConfig(), 1000, QueryKind::kQuantile, -inf,
+       Status::kMalformed},
+      {"empty kll", KllConfig(), 0, QueryKind::kQuantile, 0.5,
+       Status::kEmpty},
+      {"empty robust_sample", robust, 0, QueryKind::kQuantile, 0.5,
+       Status::kEmpty},
+      {"empty reservoir", reservoir, 0, QueryKind::kQuantile, 0.5,
+       Status::kEmpty},
+      {"reservoir q=1.5", reservoir, 1000, QueryKind::kQuantile, 1.5,
+       Status::kMalformed},
+      {"reservoir q=NaN", reservoir, 1000, QueryKind::kQuantile, nan,
+       Status::kMalformed},
+      {"bernoulli sample kept nothing", bernoulli, 1000,
+       QueryKind::kQuantile, 0.5, Status::kEmpty},
+      {"count_min phi=0", CountMinConfig(), 1000, QueryKind::kHeavyHitters,
+       0.0, Status::kMalformed},
+      {"count_min phi=1.5", CountMinConfig(), 1000,
+       QueryKind::kHeavyHitters, 1.5, Status::kMalformed},
+      {"count_min phi=NaN", CountMinConfig(), 1000,
+       QueryKind::kHeavyHitters, nan, Status::kMalformed},
+      {"reservoir phi=inf", reservoir, 1000, QueryKind::kHeavyHitters, inf,
+       Status::kMalformed},
+      {"empty count_min frequency", CountMinConfig(), 0,
+       QueryKind::kFrequency, 7.0, Status::kEmpty},
+  };
+  for (const Probe& probe : probes) {
+    SCOPED_TRACE(probe.name);
+    const uint16_t port = ReservePort();
+    // Fork while no thread runs here: the shipper starts after. Only
+    // EXPECTs until the child is reaped, so a failure never leaks it.
+    const pid_t child = ForkCheckpointingCollector(port, "");
+    ASSERT_GT(child, 0);
+    net::ShipperOptions soptions;
+    soptions.port = port;
+    soptions.shipper_id = 1;
+    net::SnapshotShipper shipper(soptions);
+    shipper.Start();
+    const StreamSketch<int64_t> sketch =
+        MakeSketch(probe.config, TestStream(probe.elements, 77));
+    shipper.Offer(SnapshotBytes(sketch, probe.config));
+    EXPECT_TRUE(shipper.WaitUntilDrained(5000));
+    shipper.Stop();
+    net::CollectorClient<int64_t> client;
+    EXPECT_TRUE(client.Connect("127.0.0.1", port));
+    for (int ask = 0; ask < 2; ++ask) {
+      Status status = Status::kOk;
+      EXPECT_FALSE(Ask(client, probe.kind, probe.arg, &status));
+      EXPECT_EQ(status, probe.expected) << "ask " << ask;
+    }
+    EXPECT_TRUE(client.connected());
+    int wstatus = 0;
+    const pid_t exited = waitpid(child, &wstatus, WNOHANG);
+    EXPECT_EQ(exited, 0) << "the collector died, signal "
+                         << (WIFSIGNALED(wstatus) ? WTERMSIG(wstatus) : 0);
+    if (exited == 0) {
+      kill(child, SIGKILL);
+      waitpid(child, &wstatus, 0);
+    }
+  }
 }
 
 // ------------------------------------------------ freshness / v2 ships ----
@@ -1155,7 +1298,6 @@ TEST(FreshnessTest, StalenessGaugesMoveUnderTheFaultMatrix) {
   EXPECT_EQ(collector.accepted_snapshots(), uint64_t{1});
   EXPECT_GE(shipper.superseded(), uint64_t{1});
 
-#if RS_METRICS_ENABLED
   // RefreshFreshnessLocked ran at merge time, so the per-shipper gauges
   // already reflect the degraded delivery.
   EXPECT_EQ(obs::NetStalenessSeqLag(kShipperId).Value(), 1);
@@ -1163,7 +1305,6 @@ TEST(FreshnessTest, StalenessGaugesMoveUnderTheFaultMatrix) {
   EXPECT_GT(obs::NetStalenessNs(kShipperId).Value(), 0);
   // The e2e produce->merge histogram saw exactly the merged ship.
   EXPECT_GE(obs::NetE2eProduceMergeNs().Read().count, uint64_t{1});
-#endif
 
   // The wire annotation agrees with the gauges.
   net::CollectorClient<int64_t> client;

@@ -1,6 +1,6 @@
 // Tests for src/obs/: striped counters/gauges/histograms, the registry's
-// deterministic exports, the flight recorder, and the RS_METRICS=OFF
-// no-op surface. The concurrency tests double as the TSan target for the
+// deterministic exports, the flight recorder, and the runtime switch.
+// The concurrency tests double as the TSan target for the
 // striped-update design (ci runs this binary under -DRS_TSAN=ON).
 
 #include <algorithm>
@@ -47,8 +47,6 @@ TEST(ObsCatalogTest, AccessorsReturnStableInstances) {
   Histogram& h2 = WireSerializeNs("robust_sample");
   EXPECT_EQ(&h1, &h2);
 }
-
-#if RS_METRICS_ENABLED
 
 // --- primitives under concurrency -----------------------------------------
 
@@ -125,12 +123,18 @@ TEST(ObsMetricsTest, HistogramQuantilesReturnBucketUpperBounds) {
 
 TEST(ObsMetricsTest, RuntimeDisableStopsUpdates) {
   Counter counter;
+  Gauge gauge;
+  Histogram histogram;
   counter.Increment();
   SetRuntimeEnabled(false);
   counter.Increment(100);
+  gauge.SetMax(5);
+  histogram.Observe(42);
   SetRuntimeEnabled(true);
   counter.Increment();
   EXPECT_EQ(counter.Value(), 2u);
+  EXPECT_EQ(gauge.Value(), 0);
+  EXPECT_EQ(histogram.Read().count, 0u);
 }
 
 // --- registry ---------------------------------------------------------------
@@ -666,47 +670,6 @@ TEST(ObsFlightRecorderTest, SpanDetailHoldsAtLeast90Chars) {
   EXPECT_NE(recorder.Dump().find(long_detail), std::string::npos)
       << "span detail truncated below " << long_detail.size() << " chars";
 }
-
-#else  // !RS_METRICS_ENABLED
-
-// The OFF build keeps the whole API callable but inert: no counts, empty
-// exports, empty dumps. This is what the ci metrics-off job asserts.
-
-TEST(ObsOffTest, UpdatesAreNoOps) {
-  Counter counter;
-  counter.Increment(100);
-  EXPECT_EQ(counter.Value(), 0u);
-  Gauge gauge;
-  gauge.SetMax(5);
-  EXPECT_EQ(gauge.Value(), 0);
-  Histogram histogram;
-  histogram.Observe(42);
-  EXPECT_EQ(histogram.Read().count, 0u);
-  EXPECT_EQ(NowNanos(), 0u);
-}
-
-TEST(ObsOffTest, ExportsAreEmpty) {
-  MetricRegistry& registry = MetricRegistry::Global();
-  registry.GetCounter("rs_test_off_total")->Increment();
-  EXPECT_EQ(registry.ToJson(), "[]");
-  EXPECT_EQ(registry.ToPrometheusText(), "");
-  EXPECT_TRUE(registry.Names().empty());
-}
-
-TEST(ObsOffTest, FlightRecorderIsInert) {
-  FlightRecorder& recorder = FlightRecorder::Global();
-  recorder.Record(TraceEventKind::kMark, "obs_test", "ignored");
-  recorder.RecordError("obs_test", "ignored too");
-  EXPECT_EQ(recorder.Dump(), "");
-  EXPECT_EQ(recorder.LastErrorDump(), "");
-  { TraceSpan span("obs_test", "ignored span"); }
-  EXPECT_EQ(recorder.Dump(), "");
-  // The chrome-trace export stays valid (empty) JSON so tooling that
-  // unconditionally loads it keeps working against an OFF build.
-  EXPECT_EQ(recorder.DumpChromeTraceJson(), "{\"traceEvents\":[]}");
-}
-
-#endif  // RS_METRICS_ENABLED
 
 }  // namespace
 }  // namespace obs

@@ -450,7 +450,6 @@ void FuzzOneSchedule(uint64_t seed) {
                                             : PartitionPolicy::kRoundRobin;
   options.ring_capacity = 1 + rng.NextBelow(4);
   options.max_producers = num_producers;
-  options.vectorized_hash_partition = rng.NextBelow(2) == 0;
   ShardedPipeline<int64_t> pipeline(config, options);
 
   const auto stream = UniformIntStream(60000, 1 << 20, MixSeed(seed, 0x5u));
@@ -556,10 +555,8 @@ TEST(PipelineStressTest, RejectionAndBackpressureAreDistinctlyCounted) {
   ShardedPipeline<int64_t> pipeline(config, options);
   const auto stream = UniformIntStream(1 << 16, 1 << 20, 93);
 
-#if RS_METRICS_ENABLED
   const uint64_t rejected_before = obs::PipelineRejectedBatches().Value();
   const uint64_t stalls_before = obs::PipelineBackpressureStalls().Value();
-#endif
 
   // Oversized batches: refused by both ingest paths, nothing queued or
   // sketched, and the return value says so.
@@ -581,14 +578,12 @@ TEST(PipelineStressTest, RejectionAndBackpressureAreDistinctlyCounted) {
   EXPECT_EQ(pipeline.total_ingested(), 50u * stream.size());
   EXPECT_EQ(pipeline.Snapshot().StreamSize(), 50u * stream.size());
 
-#if RS_METRICS_ENABLED
   // The obs counters saw exactly this pipeline's events (tests in this
   // binary run sequentially, so deltas are attributable).
   EXPECT_EQ(obs::PipelineRejectedBatches().Value() - rejected_before, 2u);
   EXPECT_EQ(obs::PipelineBackpressureStalls().Value() - stalls_before,
             pipeline.backpressure_waits());
   EXPECT_GE(obs::PipelineRingOccupancyHwm().Value(), 1);
-#endif
 }
 
 }  // namespace

@@ -16,7 +16,6 @@ namespace {
 
 static_assert(StreamSampler<BernoulliSampler<int64_t>, int64_t>);
 static_assert(StreamSampler<ReservoirSampler<int64_t>, int64_t>);
-static_assert(StreamSampler<SkipReservoirSampler<int64_t>, int64_t>);
 static_assert(StreamSampler<BernoulliSampler<double>, double>);
 
 // ------------------------------------------------------------- Bernoulli --
@@ -196,52 +195,8 @@ TEST(ReservoirSamplerDeathTest, ZeroCapacityAborts) {
   EXPECT_DEATH(ReservoirSampler<int64_t>(0, 1), "capacity");
 }
 
-// -------------------------------------------------------- Skip reservoir --
-
-TEST(SkipReservoirSamplerTest, FirstKElementsAlwaysKept) {
-  SkipReservoirSampler<int64_t> s(8, 1);
-  for (int64_t i = 0; i < 8; ++i) {
-    s.Insert(i);
-    EXPECT_TRUE(s.last_kept());
-  }
-  EXPECT_EQ(s.sample().size(), 8u);
-}
-
-TEST(SkipReservoirSamplerTest, SizeIsExactlyKAfterKElements) {
-  SkipReservoirSampler<int64_t> s(6, 2);
-  for (int64_t i = 0; i < 5000; ++i) s.Insert(i);
-  EXPECT_EQ(s.sample().size(), 6u);
-  EXPECT_EQ(s.stream_size(), 5000u);
-}
-
-TEST(SkipReservoirSamplerTest, MatchesAlgorithmRDistribution) {
-  // Algorithm L must produce the same inclusion distribution as Algorithm R:
-  // P(element i in final sample) = k/n.
-  constexpr size_t kK = 3, kN = 12, kRuns = 30000;
-  std::vector<int> counts(kN, 0);
-  for (size_t run = 0; run < kRuns; ++run) {
-    SkipReservoirSampler<int64_t> s(kK, 77 + run);
-    for (size_t i = 0; i < kN; ++i) s.Insert(static_cast<int64_t>(i));
-    for (int64_t v : s.sample()) ++counts[static_cast<size_t>(v)];
-  }
-  const double expected = static_cast<double>(kRuns) * kK / kN;
-  const double sd = std::sqrt(expected * (1.0 - static_cast<double>(kK) / kN));
-  for (size_t i = 0; i < kN; ++i) {
-    EXPECT_NEAR(counts[i], expected, 6.0 * sd) << "element " << i;
-  }
-}
-
-TEST(SkipReservoirSamplerTest, DeterministicGivenSeed) {
-  SkipReservoirSampler<int64_t> a(10, 99), b(10, 99);
-  for (int64_t i = 0; i < 10000; ++i) {
-    a.Insert(i);
-    b.Insert(i);
-  }
-  EXPECT_EQ(a.sample(), b.sample());
-}
-
-// Parameterized sweep: both reservoir variants preserve the k/n marginal
-// for a range of (k, n) shapes.
+// Parameterized sweep: the reservoir holds min(k, n) elements for a range
+// of (k, n) shapes.
 class ReservoirMarginalTest
     : public ::testing::TestWithParam<std::pair<size_t, size_t>> {};
 
