@@ -4,13 +4,11 @@
 // 1. Describe the sketch you want with a SketchConfig (any registered
 //    kind: robust_sample, reservoir, bernoulli, kll, count_min,
 //    misra_gries, space_saving).
-// 2. Stand up a ShardedPipeline: N worker shards, each owning an
-//    independently seeded instance, fed through SPSC rings by batched
-//    ingestion into the samplers' skip-sampling InsertBatch hot path.
-//    Batches you own for the duration (like the vector below) can go in
-//    zero-copy via IngestBorrowed; transient batches go through Ingest,
-//    which materializes them once into a pooled, refcounted buffer
-//    shared by all shards (docs/pipeline.md has the full design).
+// 2. Stand up a ShardedPipeline: N shards, each owning an independently
+//    seeded instance. Ingest splits each batch into per-shard slices and
+//    folds them on the calling thread into the samplers' skip-sampling
+//    InsertBatch hot path, with no copy; the batch memory is free for
+//    reuse as soon as Ingest returns (docs/pipeline.md has the design).
 // 3. Take a Snapshot() at any point: per-shard states merge into one
 //    summary of the entire stream (for reservoirs, an exactly uniform
 //    sample of the union — Theorem 1.2 sizing applies unchanged), and
@@ -52,10 +50,7 @@ int main() {
   const size_t batch = 1 << 16;
   for (size_t i = 0; i < stream.size(); i += batch) {
     const size_t len = std::min(batch, stream.size() - i);
-    // `stream` outlives the next Flush/Snapshot, so the shards can read
-    // it in place — zero-copy. (With transient batch memory, call
-    // pipeline.Ingest(...) instead; the snapshots are bit-identical.)
-    pipeline.IngestBorrowed(std::span<const int64_t>(stream.data() + i, len));
+    pipeline.Ingest(std::span<const int64_t>(stream.data() + i, len));
   }
 
   // --- 3. Merge the shards and query the global sample ----------------

@@ -25,6 +25,7 @@ CountMinSketch::CountMinSketch(size_t width, size_t depth, uint64_t seed,
   row_seeds_.resize(depth_);
   for (auto& s : row_seeds_) s = sm.Next();
   counters_.assign(depth_, std::vector<uint64_t>(width_, 0));
+  candidates_.reserve(max_candidates_);
 }
 
 size_t CountMinSketch::Bucket(size_t row, int64_t x) const {
@@ -55,13 +56,45 @@ void CountMinSketch::Insert(int64_t x) {
   } else if (candidates_.size() < max_candidates_) {
     candidates_.emplace(x, 1);
   } else {
-    // Evict the least-inserted candidate to make room.
-    auto min_it = candidates_.begin();
-    for (auto iter = candidates_.begin(); iter != candidates_.end(); ++iter) {
-      if (iter->second < min_it->second) min_it = iter;
+    // Evict by the rule in count_min.h; the victim's node is renamed to
+    // x, so a miss allocates nothing. x is now the only candidate at
+    // count 1.
+    auto node = candidates_.extract(PopVictim());
+    node.key() = x;
+    node.mapped() = 1;
+    candidates_.insert(std::move(node));
+    if (victims_count_ != 1) {
+      victims_.clear();
+      victims_count_ = 1;
     }
-    candidates_.erase(min_it);
-    candidates_.emplace(x, 1);
+    victims_.push_back(x);
+    std::push_heap(victims_.begin(), victims_.end());
+  }
+}
+
+int64_t CountMinSketch::PopVictim() {
+  for (;;) {
+    if (victims_.empty()) {
+      // Refill with every candidate at the minimum count (one scan; its
+      // capacity then covers the whole table, so later refills and
+      // pushes never allocate).
+      victims_.reserve(candidates_.size());
+      victims_count_ = std::numeric_limits<uint64_t>::max();
+      for (const auto& [elem, count] : candidates_) {
+        if (count < victims_count_) {
+          victims_.clear();
+          victims_count_ = count;
+        }
+        if (count == victims_count_) victims_.push_back(elem);
+      }
+      std::make_heap(victims_.begin(), victims_.end());
+    }
+    std::pop_heap(victims_.begin(), victims_.end());
+    const int64_t x = victims_.back();
+    victims_.pop_back();
+    // Skip entries whose count has risen since they were pushed.
+    const auto it = candidates_.find(x);
+    if (it != candidates_.end() && it->second == victims_count_) return x;
   }
 }
 
@@ -99,6 +132,7 @@ void CountMinSketch::Merge(const CountMinSketch& other) {
     candidates_ = std::unordered_map<int64_t, uint64_t>(entries.begin(),
                                                         entries.end());
   }
+  victims_.clear();
 }
 
 uint64_t CountMinSketch::EstimateCount(int64_t x) const {
@@ -192,6 +226,7 @@ bool CountMinSketch::DeserializeFrom(wire::ByteSource& source) {
   row_seeds_ = std::move(row_seeds);
   counters_ = std::move(counters);
   candidates_ = std::move(candidates);
+  victims_.clear();
   return true;
 }
 

@@ -24,7 +24,12 @@ namespace robust_sampling {
 /// robust sampled estimator of Corollary 1.6.
 ///
 /// Heavy-hitter reporting tracks candidates in a side map capped at
-/// `max_candidates` (the standard sketch+heap construction).
+/// `max_candidates` (the standard sketch+heap construction), each with
+/// its insertion count since it entered. When a new element arrives at a
+/// full map, the candidate with the lowest count is evicted, ties going to
+/// the largest element — the same entry Merge's trim drops. The rule
+/// reads only the map's content, so a revived sketch evicts exactly as
+/// the original would.
 class CountMinSketch : public FrequencyEstimator {
  public:
   /// Requires width >= 2, depth >= 1. With `conservative_update` set, an
@@ -75,11 +80,21 @@ class CountMinSketch : public FrequencyEstimator {
   bool DeserializeFrom(wire::ByteSource& source);
 
  private:
+  /// Removes and returns the next eviction victim from victims_.
+  int64_t PopVictim();
+
   size_t width_;
   size_t depth_;
   std::vector<uint64_t> row_seeds_;
   std::vector<std::vector<uint64_t>> counters_;  // [depth][width]
   std::unordered_map<int64_t, uint64_t> candidates_;  // element -> insertions
+  // Max-heap (by element) holding every candidate at count victims_count_,
+  // the minimum, plus stale entries raised since (skipped on pop). Empty
+  // until the first eviction and after Merge/DeserializeFrom; refilled by
+  // one scan when it runs dry. Only evictions push, and they only happen
+  // at a full map, so a newcomer into a non-full map needs no entry.
+  std::vector<int64_t> victims_;
+  uint64_t victims_count_ = 0;
   size_t max_candidates_;
   bool conservative_update_;
   size_t n_ = 0;

@@ -12,25 +12,19 @@ namespace {
 // with this table).
 constexpr MetricDescriptor kCatalog[] = {
     {"rs_pipeline_ingest_batches_total", "counter", "",
-     "Batches accepted by ShardedPipeline Ingest/IngestBorrowed"},
+     "Batches accepted by ShardedPipeline Ingest"},
     {"rs_pipeline_ingest_elements_total", "counter", "",
-     "Elements accepted by ShardedPipeline Ingest/IngestBorrowed"},
+     "Elements accepted by ShardedPipeline Ingest"},
     {"rs_pipeline_rejected_batches_total", "counter", "",
-     "Batches rejected as oversized (max_batch_elements); never queued"},
-    {"rs_pipeline_backpressure_stalls_total", "counter", "",
-     "Publishes that blocked on a full shard ring before succeeding"},
+     "Batches rejected as oversized (max_batch_elements); never folded"},
     {"rs_pipeline_shard_elements_total", "counter", "shard",
      "Elements folded into this shard's sketch"},
     {"rs_pipeline_producer_elements_total", "counter", "producer",
      "Elements accepted through this producer handle"},
-    {"rs_pipeline_ring_occupancy_hwm", "gauge", "",
-     "High-water mark of shard ring occupancy (batch slices queued)"},
     {"rs_pipeline_partition_ns", "histogram", "",
      "Hash-partition pass latency per batch (hash, bucket, scatter)"},
-    {"rs_pipeline_flush_ns", "histogram", "",
-     "ShardedPipeline Flush latency (wait for all workers idle)"},
     {"rs_pipeline_checkpoint_ns", "histogram", "",
-     "Checkpoint end-to-end duration (flush + serialize + write + rename)"},
+     "Checkpoint end-to-end duration (serialize + write + rename)"},
     {"rs_pipeline_checkpoint_bytes", "histogram", "",
      "Checkpoint body size in bytes"},
     {"rs_pipeline_restore_ns", "histogram", "",
@@ -149,12 +143,6 @@ Counter& PipelineRejectedBatches() {
   return c;
 }
 
-Counter& PipelineBackpressureStalls() {
-  static Counter& c =
-      CatalogCounter("rs_pipeline_backpressure_stalls_total");
-  return c;
-}
-
 Counter& PipelineShardElements(size_t shard) {
   const MetricDescriptor& d = Find("rs_pipeline_shard_elements_total");
   return *MetricRegistry::Global().GetCounter(
@@ -167,18 +155,8 @@ Counter& PipelineProducerElements(size_t producer) {
       d.name, d.help, {d.label_key, std::to_string(producer)});
 }
 
-Gauge& PipelineRingOccupancyHwm() {
-  static Gauge& g = CatalogGauge("rs_pipeline_ring_occupancy_hwm");
-  return g;
-}
-
 Histogram& PipelinePartitionNs() {
   static Histogram& h = CatalogHistogram("rs_pipeline_partition_ns");
-  return h;
-}
-
-Histogram& PipelineFlushNs() {
-  static Histogram& h = CatalogHistogram("rs_pipeline_flush_ns");
   return h;
 }
 

@@ -40,22 +40,16 @@ const std::vector<MetricDescriptor>& AllMetricDescriptors();
 
 Counter& PipelineIngestBatches();
 Counter& PipelineIngestElements();
-/// Batches refused by Ingest/IngestBorrowed (oversized vs
-/// max_batch_elements) — distinct from backpressure, which delays but
-/// never drops.
+/// Batches refused by Ingest (oversized vs max_batch_elements).
 Counter& PipelineRejectedBatches();
-/// Publishes that found a shard ring full and blocked (backpressure).
-Counter& PipelineBackpressureStalls();
 /// Elements folded into shard `shard`'s sketch (label: shard index).
 Counter& PipelineShardElements(size_t shard);
 /// Elements accepted through producer handle `producer` (label: producer
-/// index) — the per-column view of the P x S fan-in matrix.
+/// index).
 Counter& PipelineProducerElements(size_t producer);
-Gauge& PipelineRingOccupancyHwm();
-/// Hash-partition pass latency per batch (hash + bucket + scatter +
-/// publish, both the vectorized and per-element paths).
+/// Hash-partition pass latency per batch (hash + bucket + scatter; the
+/// folds that follow are not included).
 Histogram& PipelinePartitionNs();
-Histogram& PipelineFlushNs();
 Histogram& PipelineCheckpointNs();
 Histogram& PipelineCheckpointBytes();
 Histogram& PipelineRestoreNs();

@@ -196,6 +196,30 @@ TEST(CountMinTest, HeavyHittersFindsPlantedElement) {
   EXPECT_EQ(hh[0].element, 1);
 }
 
+// A newcomer at a full candidate map evicts the lowest count, ties going
+// to the largest element; counts that rose since the last eviction are
+// seen.
+TEST(CountMinTest, EvictsTheLowestCountAndTheLargestElementAmongTies) {
+  CountMinSketch cm(1024, 4, 29, /*max_candidates=*/3);
+  auto candidates = [&cm] {
+    std::vector<int64_t> out;
+    for (const auto& hit : cm.HeavyHitters(0.0)) out.push_back(hit.element);
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  for (int64_t x : {5, 5, 10, 30}) cm.Insert(x);  // 5:2 10:1 30:1
+  cm.Insert(20);                                  // 10 and 30 tie: 30 goes
+  EXPECT_EQ(candidates(), (std::vector<int64_t>{5, 10, 20}));
+  cm.Insert(40);                                  // 10 and 20 tie: 20 goes
+  EXPECT_EQ(candidates(), (std::vector<int64_t>{5, 10, 40}));
+  cm.Insert(10);                                  // 5:2 10:2 40:1
+  cm.Insert(1);                                   // 40 alone at 1: it goes
+  EXPECT_EQ(candidates(), (std::vector<int64_t>{1, 5, 10}));
+  cm.Insert(1);                                   // 1:2 5:2 10:2
+  cm.Insert(7);                                   // all tie at 2: 10 goes
+  EXPECT_EQ(candidates(), (std::vector<int64_t>{1, 5, 7}));
+}
+
 TEST(CountMinTest, AdaptiveCollisionStuffingInflatesTarget) {
   // The Hardt–Woodruff-style vulnerability, concretely: an adversary that
   // can query the sketch finds elements colliding with a target in every

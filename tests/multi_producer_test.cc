@@ -1,20 +1,15 @@
-// Multi-producer ingestion correctness: P producer threads publishing
-// concurrently through their own SPSC ring columns (the P x S fan-in
-// matrix) must lose nothing, duplicate nothing, and keep every control-
-// surface contract — mid-stream snapshots, per-producer flush fencing,
-// and checkpoint/restore — while the workers race them. Tiny ring
-// capacities keep every blocking edge hot.
+// Multi-producer ingestion correctness: P producer threads folding
+// concurrently into the shared shard sketches must lose nothing,
+// duplicate nothing, and keep every control-surface contract — mid-stream
+// snapshots, visibility of every returned Ingest, and checkpoint/restore
+// — while racing each other and the readers.
 //
-// Also the routing oracle for the vectorized hash-partition pass: with a
-// single producer, every shard's checkpointed state must equal a sketch
-// fed that shard's elements by a reference router in this file, byte for
-// byte, for CountMin and SpaceSaving.
+// Also the routing oracles for both partition policies: with a single
+// producer, every shard's checkpointed state must equal a sketch fed that
+// shard's slices by a reference router in this file, byte for byte.
 //
 // This file is part of the TSan CI job (test regex `^(pipeline|obs|
-// multi_producer)`): the per-lane pushed/completed flush fence replaced a
-// plain uint64_t `pushed` that raced once Flush could run concurrently
-// with ingestion — FlushRacesIngestionCleanly is the regression test that
-// fails under TSan on the old protocol.
+// multi_producer|net)`).
 
 #include <atomic>
 #include <cstddef>
@@ -54,8 +49,7 @@ SketchConfig CountMinConfig(uint64_t seed) {
 
 /// Runs P producer threads, each ingesting its contiguous slice of
 /// `stream` through its own registered handle in seeded-random batch
-/// sizes (mixing copying and borrowed ingestion — the stream outlives the
-/// pipeline, satisfying the borrow contract). Returns after all joined.
+/// sizes. Returns after all joined.
 void RunProducers(ShardedPipeline<int64_t>& pipeline,
                   std::span<const int64_t> stream, size_t num_producers,
                   uint64_t seed) {
@@ -72,11 +66,7 @@ void RunProducers(ShardedPipeline<int64_t>& pipeline,
       while (offset < end) {
         const size_t len =
             std::min<size_t>(1 + rng.NextBelow(501), end - offset);
-        if (rng.NextBelow(2) == 0) {
-          producer.Ingest(stream.subspan(offset, len));
-        } else {
-          producer.IngestBorrowed(stream.subspan(offset, len));
-        }
+        producer.Ingest(stream.subspan(offset, len));
         offset += len;
       }
     });
@@ -98,8 +88,6 @@ TEST(MultiProducerTest, NoLossNoDuplicateAgainstSerialReference) {
   PipelineOptions options;
   options.num_shards = 4;
   options.partition = PartitionPolicy::kHash;
-  options.ring_capacity = 2;  // tiny rings: constant backpressure
-  options.max_producers = kProducers;
   ShardedPipeline<int64_t> pipeline(CountMinConfig(1297), options);
   RunProducers(pipeline, stream, kProducers, 1301);
 
@@ -126,7 +114,7 @@ TEST(MultiProducerTest, NoLossNoDuplicateAgainstSerialReference) {
 }
 
 // Round-robin with a sampler: conservation (StreamSize == everything the
-// producers pushed) under racing producers and single-slot rings.
+// producers pushed) under racing producers.
 TEST(MultiProducerTest, RoundRobinConservesEveryElement) {
   constexpr size_t kProducers = 4;
   const auto stream = UniformIntStream(200000, 1 << 20, 1303);
@@ -137,8 +125,6 @@ TEST(MultiProducerTest, RoundRobinConservesEveryElement) {
   config.seed = 1307;
   PipelineOptions options;
   options.num_shards = 4;
-  options.ring_capacity = 1;  // single-slot: worst-case contention
-  options.max_producers = kProducers;
   ShardedPipeline<int64_t> pipeline(config, options);
   RunProducers(pipeline, stream, kProducers, 1309);
   EXPECT_EQ(pipeline.total_ingested(), stream.size());
@@ -147,17 +133,15 @@ TEST(MultiProducerTest, RoundRobinConservesEveryElement) {
 
 // --- control surface under concurrent producers -----------------------------
 
-// Snapshots taken from a control thread while 4 producers race: each one
-// flushes first, so observed StreamSize must be monotone non-decreasing
-// and end exactly at the stream length after the producers join.
+// Snapshots taken from a control thread while 4 producers race: observed
+// StreamSize must be monotone non-decreasing and end exactly at the
+// stream length after the producers join.
 TEST(MultiProducerTest, MidStreamSnapshotsAreMonotoneUnderIngestion) {
   constexpr size_t kProducers = 4;
   const auto stream = UniformIntStream(150000, 1 << 20, 1319);
   PipelineOptions options;
   options.num_shards = 2;
   options.partition = PartitionPolicy::kHash;
-  options.ring_capacity = 2;
-  options.max_producers = kProducers;
   ShardedPipeline<int64_t> pipeline(CountMinConfig(1321), options);
 
   std::atomic<bool> done{false};
@@ -179,7 +163,7 @@ TEST(MultiProducerTest, MidStreamSnapshotsAreMonotoneUnderIngestion) {
 }
 
 // Checkpoints written while producers are still publishing must be
-// valid, restorable files (the flush-fenced prefix plus possibly more,
+// valid, restorable files (every returned batch plus possibly more,
 // nothing half-folded); a checkpoint after quiescence must capture the
 // exact final state.
 TEST(MultiProducerTest, CheckpointRestoreUnderConcurrentIngestion) {
@@ -191,8 +175,6 @@ TEST(MultiProducerTest, CheckpointRestoreUnderConcurrentIngestion) {
   PipelineOptions options;
   options.num_shards = 2;
   options.partition = PartitionPolicy::kHash;
-  options.ring_capacity = 4;
-  options.max_producers = kProducers;
   ShardedPipeline<int64_t> pipeline(CountMinConfig(1367), options);
 
   std::atomic<bool> done{false};
@@ -232,7 +214,7 @@ TEST(MultiProducerTest, CheckpointRestoreUnderConcurrentIngestion) {
   std::remove(final_path.c_str());
 }
 
-// --- hash-partition routing oracle -----------------------------------------
+// --- routing oracles ---------------------------------------------------------
 
 // Each shard's serialized state in a checkpoint, read back in shard order.
 std::vector<std::vector<uint8_t>> CheckpointShardStates(
@@ -258,7 +240,7 @@ std::vector<std::vector<uint8_t>> CheckpointShardStates(
   return shards;
 }
 
-// The vectorized scatter must deliver every element x to shard
+// The hash scatter must deliver every element x to shard
 // MixSeed(x, 0x9e3779b97f4a7c15) % 4, in stream order. The reference
 // routes each element itself into per-shard sketches seeded as the
 // pipeline seeds them, and every shard's serialized state must match
@@ -271,7 +253,6 @@ void ExpectHashPartitionMatchesReference(const SketchConfig& config) {
   PipelineOptions options;
   options.num_shards = kShards;
   options.partition = PartitionPolicy::kHash;
-  options.ring_capacity = 8;
   ShardedPipeline<int64_t> pipeline(config, options);
   Rng rng(1409);
   for (size_t offset = 0; offset < stream.size();) {
@@ -316,21 +297,85 @@ TEST(MultiProducerTest, VectorizedPartitionBitIdenticalSpaceSaving) {
   ExpectHashPartitionMatchesReference(config);
 }
 
-// --- flush fencing ----------------------------------------------------------
+// Round robin: chunk i of batch b (length floor(m/S) + [i < m mod S],
+// empty chunks skipped) goes to shard (b + i) mod S as one InsertBatch
+// call. The reference replays that arithmetic into per-shard sketches
+// seeded as the pipeline seeds them, and every shard's serialized state
+// must match byte for byte. reservoir and robust_sample draw their skips
+// per InsertBatch call, so a moved chunk boundary or a reordered fold
+// changes their bytes. Batch sizes include ones smaller than S.
+void ExpectRoundRobinMatchesReference(const SketchConfig& config) {
+  constexpr size_t kShards = 4;
+  const auto stream = UniformIntStream(100000, 1 << 20, 1433);
+  PipelineOptions options;
+  options.num_shards = kShards;
+  options.partition = PartitionPolicy::kRoundRobin;
+  ShardedPipeline<int64_t> pipeline(config, options);
+  std::vector<StreamSketch<int64_t>> reference;
+  for (size_t s = 0; s < kShards; ++s) {
+    reference.push_back(SketchRegistry<int64_t>::Global().Create(
+        config, MixSeed(config.seed, uint64_t{s})));
+  }
+  Rng rng(1439);
+  size_t b = 0;
+  for (size_t offset = 0; offset < stream.size(); ++b) {
+    const size_t bound = rng.NextBelow(4) == 0 ? 6 : 777;
+    const size_t m =
+        std::min<size_t>(1 + rng.NextBelow(bound), stream.size() - offset);
+    const std::span<const int64_t> batch(stream.data() + offset, m);
+    pipeline.Ingest(batch);
+    size_t chunk_offset = 0;
+    for (size_t i = 0; i < kShards; ++i) {
+      const size_t len = m / kShards + (i < m % kShards ? 1 : 0);
+      if (len == 0) continue;
+      reference[(b + i) % kShards].InsertBatch(
+          batch.subspan(chunk_offset, len));
+      chunk_offset += len;
+    }
+    offset += m;
+  }
+  const std::string path =
+      TempPath("multi_producer_rr_routing_" + config.kind + ".ck");
+  std::string error;
+  ASSERT_TRUE(pipeline.Checkpoint(path, &error)) << error;
+  const auto shards = CheckpointShardStates(path);
+  std::remove(path.c_str());
+  ASSERT_EQ(shards.size(), kShards);
+  for (size_t s = 0; s < kShards; ++s) {
+    wire::BufferSink expected;
+    reference[s].SerializeTo(expected);
+    EXPECT_EQ(shards[s], expected.bytes()) << config.kind << " shard " << s;
+  }
+}
 
-// Regression test for the latent Flush race: the old protocol read a
-// plain (non-atomic) per-shard `pushed` counter while the producer thread
-// incremented it — a data race TSan reports the moment Flush runs
-// concurrently with ingestion. The per-lane atomic pushed/completed fence
-// must keep this exact interleaving clean AND honor the semantic
-// contract: Flush observes every element published before it.
-TEST(MultiProducerTest, FlushRacesIngestionCleanly) {
+TEST(MultiProducerTest, RoundRobinPartitionBitIdenticalReservoir) {
+  SketchConfig config;
+  config.kind = "reservoir";
+  config.capacity = 64;
+  config.seed = 1447;
+  ExpectRoundRobinMatchesReference(config);
+}
+
+TEST(MultiProducerTest, RoundRobinPartitionBitIdenticalRobustSample) {
+  SketchConfig config;
+  config.kind = "robust_sample";
+  config.eps = 0.1;
+  config.delta = 0.05;
+  config.universe_size = uint64_t{1} << 20;
+  config.seed = 1451;
+  ExpectRoundRobinMatchesReference(config);
+}
+
+// --- visibility under racing readers --------------------------------------
+
+// A reader racing an ingesting producer must see every element whose
+// Ingest returned before the read, possibly more, never less — and the
+// race must be clean under TSan.
+TEST(MultiProducerTest, ReadersRaceIngestionCleanly) {
   const auto stream = UniformIntStream(120000, 1 << 20, 1429);
   PipelineOptions options;
   options.num_shards = 4;
   options.partition = PartitionPolicy::kHash;
-  options.ring_capacity = 2;
-  options.max_producers = 2;
   ShardedPipeline<int64_t> pipeline(CountMinConfig(1433), options);
 
   constexpr size_t kBatch = 256;
@@ -350,19 +395,14 @@ TEST(MultiProducerTest, FlushRacesIngestionCleanly) {
     }
   });
 
-  // Race Flush against the ingesting producer the whole way through (the
-  // TSan half of the regression), then verify the fence semantics once
-  // the flag is up.
+  // Race the readers against the ingesting producer the whole way
+  // through, then check visibility once the flag is up.
   while (!flag.load(std::memory_order_acquire)) {
-    pipeline.Flush();
+    pipeline.ShardStreamSizes();
   }
-  pipeline.Flush();
   const size_t fenced = published_before_flag.load(std::memory_order_acquire);
-  // Every element published before the Flush must already be folded; the
-  // snapshot may contain more (the producer kept going), never less.
   EXPECT_GE(pipeline.Snapshot().StreamSize(), fenced);
   producer.join();
-  pipeline.Flush();
   EXPECT_EQ(pipeline.Snapshot().StreamSize(), pipeline.total_ingested());
 }
 

@@ -310,14 +310,28 @@ std::string TempPath(const std::string& name) {
   return std::string(dir != nullptr ? dir : "/tmp") + "/" + name;
 }
 
-std::vector<int64_t> TestStream(size_t n, uint64_t seed) {
+std::vector<int64_t> TestStream(size_t n, uint64_t seed,
+                                uint64_t values = 512) {
   Rng rng(seed);
   std::vector<int64_t> out;
   out.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    out.push_back(static_cast<int64_t>(rng.NextBelow(512)) + 1);
+    out.push_back(static_cast<int64_t>(rng.NextBelow(values)) + 1);
   }
   return out;
+}
+
+// The continuation tests draw from 512 values and from 8,192: more values
+// than count_min's 1,024 candidate slots, so its evictions run.
+constexpr uint64_t kContinuationValues[] = {512, 8192};
+
+void ExpectSameWireState(const StreamSketch<int64_t>& a,
+                         const StreamSketch<int64_t>& b,
+                         const std::string& context) {
+  wire::BufferSink sa, sb;
+  a.SerializeTo(sa);
+  b.SerializeTo(sb);
+  EXPECT_EQ(sa.bytes(), sb.bytes()) << context;
 }
 
 // Asserts that two same-kind sketches answer every supported query
@@ -388,25 +402,31 @@ TEST(WireSnapshotTest, EveryRegisteredKindRoundTripsBitIdentically) {
 // RNG state survives the wire: a revived randomized sketch continues with
 // the exact same trajectory as the original, so feeding both the same
 // suffix keeps them bit-identical — the property that lets a restored
-// robust sampler keep its Theorem 1.2 guarantee.
+// robust sampler keep its Theorem 1.2 guarantee. Deterministic state
+// (count_min's eviction choices) must continue identically too.
 TEST(WireSnapshotTest, RevivedSketchesContinueTheExactRngTrajectory) {
-  const auto prefix = TestStream(8000, 0xAB);
-  const auto suffix = TestStream(8000, 0xCD);
-  for (const auto& kind : SketchRegistry<int64_t>::Global().Kinds()) {
-    const SketchConfig config = SmallConfig(kind);
-    auto original = SketchRegistry<int64_t>::Global().Create(config);
-    original.InsertBatch(prefix);
+  for (uint64_t values : kContinuationValues) {
+    const auto prefix = TestStream(8000, 0xAB, values);
+    const auto suffix = TestStream(8000, 0xCD, values);
+    for (const auto& kind : SketchRegistry<int64_t>::Global().Kinds()) {
+      const std::string context =
+          kind + " over " + std::to_string(values) + " values";
+      const SketchConfig config = SmallConfig(kind);
+      auto original = SketchRegistry<int64_t>::Global().Create(config);
+      original.InsertBatch(prefix);
 
-    wire::BufferSink sink;
-    ASSERT_TRUE(wire::WriteSnapshot(original, config, sink)) << kind;
-    wire::BufferSource source(sink.bytes());
-    std::string error;
-    auto revived = wire::ReadSnapshot<int64_t>(source, &error);
-    ASSERT_TRUE(revived.valid()) << kind << ": " << error;
+      wire::BufferSink sink;
+      ASSERT_TRUE(wire::WriteSnapshot(original, config, sink)) << context;
+      wire::BufferSource source(sink.bytes());
+      std::string error;
+      auto revived = wire::ReadSnapshot<int64_t>(source, &error);
+      ASSERT_TRUE(revived.valid()) << context << ": " << error;
 
-    original.InsertBatch(suffix);
-    revived.InsertBatch(suffix);
-    ExpectIdenticalAnswers(original, revived, kind + " after suffix");
+      original.InsertBatch(suffix);
+      revived.InsertBatch(suffix);
+      ExpectIdenticalAnswers(original, revived, context + " after suffix");
+      ExpectSameWireState(original, revived, context + " after suffix");
+    }
   }
 }
 
@@ -721,42 +741,47 @@ TEST(WireCompressionTest, CompressedSnapshotTruncationAndFlipsAreRejected) {
 TEST(WireCheckpointTest, RestoredPipelineContinuesBitIdentically) {
   constexpr size_t kBatches = 40;
   constexpr size_t kBatchSize = 500;
-  for (const auto& kind : SketchRegistry<int64_t>::Global().Kinds()) {
-    const SketchConfig config = SmallConfig(kind);
-    PipelineOptions options;
-    options.num_shards = 3;
-    options.ring_capacity = 8;
-
+  for (uint64_t values : kContinuationValues) {
     std::vector<std::vector<int64_t>> batches;
     for (size_t b = 0; b < kBatches; ++b) {
-      batches.push_back(TestStream(kBatchSize, 0xF00D + b));
+      batches.push_back(TestStream(kBatchSize, 0xF00D + b, values));
     }
+    for (const auto& kind : SketchRegistry<int64_t>::Global().Kinds()) {
+      const std::string context = kind + " over " + std::to_string(values) +
+                                  " values, checkpoint/restore";
+      const SketchConfig config = SmallConfig(kind);
+      PipelineOptions options;
+      options.num_shards = 3;
 
-    // Reference: uninterrupted run.
-    ShardedPipeline<int64_t> uninterrupted(config, options);
-    for (const auto& batch : batches) uninterrupted.Ingest(batch);
-    auto expected = uninterrupted.Snapshot();
+      // Reference: uninterrupted run.
+      ShardedPipeline<int64_t> uninterrupted(config, options);
+      for (const auto& batch : batches) uninterrupted.Ingest(batch);
+      auto expected = uninterrupted.Snapshot();
 
-    // Interrupted run: first half, checkpoint, "crash" (destroy), restore,
-    // second half.
-    const std::string path = TempPath("wire_checkpoint_" + kind + ".ck");
-    {
-      ShardedPipeline<int64_t> first(config, options);
-      for (size_t b = 0; b < kBatches / 2; ++b) first.Ingest(batches[b]);
+      // Interrupted run: first half, checkpoint, "crash" (destroy),
+      // restore, second half.
+      const std::string path = TempPath("wire_checkpoint_" + kind + ".ck");
+      {
+        ShardedPipeline<int64_t> first(config, options);
+        for (size_t b = 0; b < kBatches / 2; ++b) first.Ingest(batches[b]);
+        std::string error;
+        ASSERT_TRUE(first.Checkpoint(path, &error)) << context << ": "
+                                                    << error;
+      }
       std::string error;
-      ASSERT_TRUE(first.Checkpoint(path, &error)) << kind << ": " << error;
+      auto restored =
+          ShardedPipeline<int64_t>::Restore(path, options, &error);
+      ASSERT_NE(restored, nullptr) << context << ": " << error;
+      EXPECT_EQ(restored->total_ingested(), kBatches / 2 * kBatchSize)
+          << context;
+      for (size_t b = kBatches / 2; b < kBatches; ++b) {
+        restored->Ingest(batches[b]);
+      }
+      auto actual = restored->Snapshot();
+      ExpectIdenticalAnswers(expected, actual, context);
+      ExpectSameWireState(expected, actual, context);
+      std::remove(path.c_str());
     }
-    std::string error;
-    auto restored =
-        ShardedPipeline<int64_t>::Restore(path, options, &error);
-    ASSERT_NE(restored, nullptr) << kind << ": " << error;
-    EXPECT_EQ(restored->total_ingested(), kBatches / 2 * kBatchSize) << kind;
-    for (size_t b = kBatches / 2; b < kBatches; ++b) {
-      restored->Ingest(batches[b]);
-    }
-    auto actual = restored->Snapshot();
-    ExpectIdenticalAnswers(expected, actual, kind + " checkpoint/restore");
-    std::remove(path.c_str());
   }
 }
 
