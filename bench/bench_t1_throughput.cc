@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "benchmark/benchmark.h"
-#include "benchmark_json_main.h"
 #include "core/bernoulli_sampler.h"
 #include "core/reservoir_sampler.h"
 #include "core/weighted_reservoir_sampler.h"
@@ -78,8 +77,3 @@ BENCHMARK(BM_IntervalDiscrepancy)->Name("t1/interval_discrepancy")->Arg(1 << 12)
 
 }  // namespace
 }  // namespace robust_sampling
-
-int main(int argc, char** argv) {
-  return robust_sampling::RunBenchmarksWithJsonDefault("BENCH_t1.json",
-                                                       argc, argv);
-}

@@ -1,20 +1,26 @@
 // T2: throughput microbenchmarks for the quantile and heavy-hitter
 // substrates (google-benchmark): GK, KLL, sample-based quantiles;
-// Misra-Gries, SpaceSaving, CountMin, sample-based heavy hitters.
+// Misra-Gries, SpaceSaving, CountMin, sample-based heavy hitters; and the
+// wire codec (serialize and revive) for every registered sketch kind.
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "benchmark/benchmark.h"
-#include "benchmark_json_main.h"
 #include "heavy/count_min.h"
 #include "heavy/misra_gries.h"
 #include "heavy/sample_heavy_hitters.h"
 #include "heavy/space_saving.h"
+#include "pipeline/sketch_config.h"
+#include "pipeline/sketch_registry.h"
+#include "pipeline/stream_sketch.h"
 #include "quantiles/gk_sketch.h"
 #include "quantiles/kll_sketch.h"
 #include "quantiles/sample_quantile_sketch.h"
 #include "stream/generators.h"
+#include "wire/codec.h"
+#include "wire/snapshot.h"
 
 namespace robust_sampling {
 namespace {
@@ -135,10 +141,70 @@ void BM_KllSketchQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_KllSketchQuery)->Name("t2/kll_query");
 
+// Wire codec rows, one serialize and one revive per registered kind. Each
+// sketch holds the same 200,000 uniform draws over {1..4096}; serialize is
+// WriteSnapshot into memory, revive is ReadSnapshot back out of it.
+struct CodecFixture {
+  SketchConfig config;
+  StreamSketch<int64_t> sketch;
+  std::vector<uint8_t> snapshot;
+};
+
+CodecFixture MakeCodecFixture(const std::string& kind) {
+  CodecFixture f;
+  f.config.kind = kind;
+  f.config.eps = 0.05;
+  f.config.delta = 0.05;
+  f.config.universe_size = 4096;
+  f.config.seed = 0x7A11;
+  f.sketch = SketchRegistry<int64_t>::Global().Create(f.config);
+  f.sketch.InsertBatch(UniformIntStream(200'000, 4096, 0x7A11));
+  wire::BufferSink sink;
+  wire::WriteSnapshot(f.sketch, f.config, sink);
+  f.snapshot = sink.TakeBytes();
+  return f;
+}
+
+void BM_Serialize(benchmark::State& state, const std::string& kind) {
+  const CodecFixture f = MakeCodecFixture(kind);
+  for (auto _ : state) {
+    wire::BufferSink sink;
+    if (!wire::WriteSnapshot(f.sketch, f.config, sink)) {
+      state.SkipWithError("WriteSnapshot failed");
+      break;
+    }
+    benchmark::DoNotOptimize(sink.bytes().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(f.snapshot.size()));
+}
+
+void BM_Revive(benchmark::State& state, const std::string& kind) {
+  const CodecFixture f = MakeCodecFixture(kind);
+  for (auto _ : state) {
+    wire::BufferSource source(f.snapshot);
+    std::string error;
+    auto revived = wire::ReadSnapshot<int64_t>(source, &error);
+    if (!revived.valid()) {
+      state.SkipWithError(error.c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(revived.StreamSize());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(f.snapshot.size()));
+}
+
+const bool kCodecRowsRegistered = [] {
+  for (const std::string& kind : SketchRegistry<int64_t>::Global().Kinds()) {
+    benchmark::RegisterBenchmark(("t2/serialize/" + kind).c_str(),
+                                 BM_Serialize, kind);
+    benchmark::RegisterBenchmark(("t2/revive/" + kind).c_str(), BM_Revive,
+                                 kind);
+  }
+  return true;
+}();
+
 }  // namespace
 }  // namespace robust_sampling
-
-int main(int argc, char** argv) {
-  return robust_sampling::RunBenchmarksWithJsonDefault("BENCH_t2.json",
-                                                       argc, argv);
-}

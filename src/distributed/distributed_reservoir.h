@@ -34,8 +34,8 @@ namespace robust_sampling {
 /// complexity* of continuous distributed sampling inside one process;
 /// actually shipping sketch state across process boundaries (periodic
 /// snapshot aggregation, checkpoint/restore) is the wire subsystem's job
-/// — see wire/snapshot.h and the fork-based aggregator in
-/// bench/bench_t4_wire_aggregator.cc for the mergeable-summaries route.
+/// — see wire/snapshot.h, and net/collector.h for the shipper/collector
+/// tier that merges shipped snapshots (the mergeable-summaries route).
 class DistributedReservoir {
  public:
   /// Requires num_sites >= 1 and k >= 1.

@@ -1,104 +1,12 @@
 #include "harness/table.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
-#include <ctime>
-#include <fstream>
-#include <iostream>
-#include <thread>
+#include <utility>
 
 #include "core/check.h"
 
-// Baked in by CMake (PRIVATE defines on the library target); the
-// fallbacks keep non-CMake compiles (e.g. IDE single-file checks) working.
-#ifndef RS_GIT_SHA
-#define RS_GIT_SHA "unknown"
-#endif
-#ifndef RS_BUILD_TYPE
-#define RS_BUILD_TYPE "unknown"
-#endif
-
 namespace robust_sampling {
-
-namespace {
-
-// Strict decimal-number scanner: [-]digits[.digits][(e|E)[+-]digits].
-// Deliberately rejects strtod extras (nan, inf, hex, leading '+', leading
-// '.') and zero-padded integers ("007") — JSON forbids leading zeros, so
-// such cells must round-trip as strings to keep the output parseable.
-bool IsPlainNumber(const std::string& s) {
-  size_t i = 0;
-  if (i < s.size() && s[i] == '-') ++i;
-  const size_t int_start = i;
-  size_t digits = 0;
-  while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) {
-    ++i;
-    ++digits;
-  }
-  if (digits == 0) return false;
-  if (digits > 1 && s[int_start] == '0') return false;
-  if (i < s.size() && s[i] == '.') {
-    ++i;
-    digits = 0;
-    while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) {
-      ++i;
-      ++digits;
-    }
-    if (digits == 0) return false;
-  }
-  if (i < s.size() && (s[i] == 'e' || s[i] == 'E')) {
-    ++i;
-    if (i < s.size() && (s[i] == '+' || s[i] == '-')) ++i;
-    digits = 0;
-    while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) {
-      ++i;
-      ++digits;
-    }
-    if (digits == 0) return false;
-  }
-  return i == s.size();
-}
-
-void AppendJsonString(const std::string& s, std::string* out) {
-  *out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c));
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-  *out += '"';
-}
-
-void AppendJsonCell(const std::string& cell, std::string* out) {
-  if (IsPlainNumber(cell)) {
-    *out += cell;
-  } else {
-    AppendJsonString(cell, out);
-  }
-}
-
-}  // namespace
 
 MarkdownTable::MarkdownTable(std::vector<std::string> headers)
     : headers_(std::move(headers)) {
@@ -140,82 +48,6 @@ std::string MarkdownTable::ToString() const {
 }
 
 void MarkdownTable::Print(std::ostream& os) const { os << ToString(); }
-
-std::string MarkdownTable::ToJson() const {
-  std::string out = "[";
-  for (size_t r = 0; r < rows_.size(); ++r) {
-    out += r == 0 ? "\n" : ",\n";
-    out += "  {";
-    for (size_t c = 0; c < headers_.size(); ++c) {
-      if (c > 0) out += ", ";
-      AppendJsonString(headers_[c], &out);
-      out += ": ";
-      AppendJsonCell(rows_[r][c], &out);
-    }
-    out += "}";
-  }
-  out += rows_.empty() ? "]" : "\n]";
-  return out;
-}
-
-namespace {
-
-std::string BuildMetaJson(
-    const std::vector<std::pair<std::string, std::string>>& extra_meta) {
-  std::vector<std::pair<std::string, std::string>> meta = {
-      {"git_sha", RS_GIT_SHA},
-      {"build_type", RS_BUILD_TYPE},
-      {"hardware_threads",
-       std::to_string(std::thread::hardware_concurrency())},
-  };
-  char stamp[32] = "unknown";
-  const std::time_t now = std::time(nullptr);
-  std::tm utc{};
-  if (gmtime_r(&now, &utc) != nullptr) {
-    std::strftime(stamp, sizeof(stamp), "%Y-%m-%dT%H:%M:%SZ", &utc);
-  }
-  meta.emplace_back("timestamp_utc", stamp);
-  meta.insert(meta.end(), extra_meta.begin(), extra_meta.end());
-
-  std::string out = "{";
-  for (size_t i = 0; i < meta.size(); ++i) {
-    if (i > 0) out += ", ";
-    AppendJsonString(meta[i].first, &out);
-    out += ": ";
-    AppendJsonCell(meta[i].second, &out);
-  }
-  out += "}";
-  return out;
-}
-
-}  // namespace
-
-bool WriteBenchJson(
-    const std::string& name, const MarkdownTable& table,
-    const std::vector<std::pair<std::string, std::string>>& extra_meta,
-    const std::string* metrics_json) {
-  const std::string path = "BENCH_" + name + ".json";
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "warning: could not open " << path << " for writing\n";
-    return false;
-  }
-  out << "{\"bench\": ";
-  std::string tag;
-  AppendJsonString(name, &tag);
-  out << tag << ", \"meta\": " << BuildMetaJson(extra_meta)
-      << ", \"rows\": " << table.ToJson();
-  if (metrics_json != nullptr) {
-    out << ", \"metrics\": " << *metrics_json;
-  }
-  out << "}\n";
-  out.flush();
-  if (!out) {
-    std::cerr << "warning: failed writing " << path << "\n";
-    return false;
-  }
-  return true;
-}
 
 std::string FormatDouble(double v, int precision) {
   char buf[64];

@@ -3,7 +3,6 @@
 
 #include <ostream>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace robust_sampling {
@@ -27,33 +26,12 @@ class MarkdownTable {
   /// Prints ToString() to `os`.
   void Print(std::ostream& os) const;
 
-  /// Renders the table as a JSON array of row objects keyed by header.
-  /// Cells that are plain decimal numbers ("3.14", "-2", "1.23e+18") are
-  /// emitted unquoted so downstream tooling can compare them numerically;
-  /// everything else becomes an escaped JSON string.
-  std::string ToJson() const;
-
   size_t NumRows() const { return rows_.size(); }
 
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
 };
-
-/// Writes `{"bench": "<name>", "meta": {...}, "rows": <table rows>}` to
-/// `BENCH_<name>.json` in the current working directory — the
-/// machine-readable perf-trajectory record the bench_t* binaries leave
-/// behind. `meta` always carries the run provenance (git sha, build type,
-/// UTC timestamp, hardware thread count) plus any bench-specific
-/// `extra_meta` pairs, so tools/bench_diff.py can attribute a trend point
-/// to a commit and machine shape. When `metrics_json` is non-null (the
-/// bench ran with --metrics), it is embedded verbatim under `"metrics"` —
-/// expected to be MetricRegistry::ToJson() output. Returns false (after
-/// warning on stderr) if the file cannot be written.
-bool WriteBenchJson(
-    const std::string& name, const MarkdownTable& table,
-    const std::vector<std::pair<std::string, std::string>>& extra_meta = {},
-    const std::string* metrics_json = nullptr);
 
 /// Fixed-precision double formatting ("0.0123").
 std::string FormatDouble(double v, int precision = 4);

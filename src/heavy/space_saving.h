@@ -20,7 +20,8 @@ namespace robust_sampling {
 /// robust; the second deterministic baseline for experiment E8.
 ///
 /// Implementation: hash map element -> count plus an ordered multimap
-/// count -> element for O(log k) minimum eviction.
+/// count -> element for O(log k) minimum eviction; among entries tied at
+/// the minimum count, the one that reached it first is evicted.
 class SpaceSaving : public FrequencyEstimator {
  public:
   /// Requires num_counters >= 1.
@@ -45,7 +46,11 @@ class SpaceSaving : public FrequencyEstimator {
   size_t num_counters() const { return k_; }
 
   /// Wire format (docs/wire.md): k, n, counts sorted by element; the
-  /// count-ordered eviction index is rebuilt on restore.
+  /// count-ordered eviction index is rebuilt on restore. The wire does not
+  /// carry the arrival order of entries tied at the minimum count, so a
+  /// revived summary may evict a different tied entry than the original
+  /// would have: the n/k bound holds, but continuing ingestion is not
+  /// bit-identical to the original (the one kind where it is not).
   void SerializeTo(wire::ByteSink& sink) const;
 
   /// Replaces this summary's state from the wire; false on malformed

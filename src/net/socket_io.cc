@@ -153,7 +153,7 @@ int AcceptWithTimeout(int listen_fd, int timeout_ms) {
 
 void SocketSink::Append(const void* data, size_t n) {
   if (!ok_ || n == 0) return;
-  ok_ = wire::WriteAllFd(fd_, data, n, /*socket_nosignal=*/true);
+  ok_ = wire::WriteAllFd(fd_, data, n);
 }
 
 bool SocketSource::ReadImpl(void* out, size_t n) {
@@ -168,7 +168,6 @@ bool SocketSource::ReadImpl(void* out, size_t n) {
       return false;
     }
     if (got == 0) return false;  // peer closed mid-object
-    bytes_read_ += static_cast<uint64_t>(got);
     obs::WireBytesIn().Increment(static_cast<uint64_t>(got));
     p += got;
     n -= static_cast<size_t>(got);
@@ -183,7 +182,6 @@ size_t SocketSource::ReadSomeImpl(void* out, size_t n) {
     got = recv(fd_, out, n, 0);
   } while (got < 0 && errno == EINTR);
   if (got <= 0) return 0;
-  bytes_read_ += static_cast<uint64_t>(got);
   obs::WireBytesIn().Increment(static_cast<uint64_t>(got));
   return static_cast<size_t>(got);
 }

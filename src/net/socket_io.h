@@ -51,10 +51,9 @@ int ListenLoopback(uint16_t port, uint16_t* bound_port, int backlog = 16);
 /// error. EINTR-safe.
 int AcceptWithTimeout(int listen_fd, int timeout_ms);
 
-/// ByteSink over a connected socket: WriteAllFd in its
-/// send(..., MSG_NOSIGNAL) mode, so the hot ship path pays no per-write
-/// sigmask syscalls and a hung-up collector surfaces as ok() == false.
-/// Does not own the fd.
+/// ByteSink over a connected socket: each Append is one WriteAllFd
+/// (send with MSG_NOSIGNAL), so a hung-up collector surfaces as
+/// ok() == false. Does not own the fd.
 class SocketSink final : public wire::ByteSink {
  public:
   explicit SocketSink(int fd) : fd_(fd) {}
@@ -69,7 +68,7 @@ class SocketSink final : public wire::ByteSink {
 
 /// ByteSource over a connected socket: EINTR-safe recv loops, deadline
 /// failures poison the source (mid-frame timeout == truncated stream,
-/// exactly like a closed pipe). Length is unknowable, so remaining() is
+/// exactly like a closed peer). Length is unknowable, so remaining() is
 /// nullopt and the codec's hard caps bound every attacker-controlled
 /// length prefix. Does not own the fd.
 class SocketSource final : public wire::ByteSource {
@@ -78,16 +77,12 @@ class SocketSource final : public wire::ByteSource {
 
   std::optional<uint64_t> remaining() const override { return std::nullopt; }
 
-  /// Total bytes successfully consumed (transfer accounting).
-  uint64_t bytes_read() const { return bytes_read_; }
-
  protected:
   bool ReadImpl(void* out, size_t n) override;
   size_t ReadSomeImpl(void* out, size_t n) override;
 
  private:
   int fd_;
-  uint64_t bytes_read_ = 0;
 };
 
 }  // namespace net

@@ -38,12 +38,8 @@ bool WriteResponse(int fd, int status, const char* reason,
                      "\r\nContent-Type: " + content_type +
                      "\r\nContent-Length: " + std::to_string(body.size()) +
                      "\r\nConnection: close\r\n\r\n";
-  if (!wire::WriteAllFd(fd, head.data(), head.size(),
-                        /*socket_nosignal=*/true)) {
-    return false;
-  }
-  return wire::WriteAllFd(fd, body.data(), body.size(),
-                          /*socket_nosignal=*/true);
+  return wire::WriteAllFd(fd, head.data(), head.size()) &&
+         wire::WriteAllFd(fd, body.data(), body.size());
 }
 
 }  // namespace

@@ -5,13 +5,13 @@
 // Admin plane: a minimal dependency-free HTTP/1.0 server that makes the
 // in-process observability state (metric registry, flight recorder, and
 // whatever the embedding service registers) scrapeable while the process
-// runs, instead of trapped until a --metrics dump at exit.
+// runs.
 //
 // One blocking accept thread serves one request per connection (HTTP/1.0,
 // Connection: close) with socket deadlines on both directions, so a stalled
 // scraper cannot wedge the plane for longer than the per-connection
-// timeout. Responses go through wire::WriteAllFd with SIGPIPE masked per
-// write, same as the shipping path.
+// timeout. Responses go through wire::WriteAllFd (send with MSG_NOSIGNAL),
+// same as the shipping path.
 //
 // Built-in endpoints (all GET):
 //   /metrics     Prometheus text exposition (MetricRegistry).

@@ -30,9 +30,9 @@ constexpr MetricDescriptor kCatalog[] = {
     {"rs_pipeline_restore_ns", "histogram", "",
      "ShardedPipeline Restore end-to-end duration"},
     {"rs_wire_bytes_out_total", "counter", "",
-     "Bytes written through wire file/fd sinks"},
+     "Bytes written through wire file/socket sinks"},
     {"rs_wire_bytes_in_total", "counter", "",
-     "Bytes read through wire file/fd sources"},
+     "Bytes read through wire file/socket sources"},
     {"rs_wire_frame_failures_total", "counter", "",
      "Framed-body reads rejected (magic/version/length/truncation/checksum)"},
     {"rs_wire_fsync_ns", "histogram", "",

@@ -6,8 +6,6 @@
 #include <mutex>
 #include <utility>
 
-#include "harness/table.h"
-
 namespace robust_sampling {
 namespace obs {
 
@@ -47,26 +45,6 @@ bool RuntimeEnabled() {
 uint64_t Histogram::BucketUpperBound(size_t i) {
   if (i == 0) return 0;
   return (uint64_t{1} << i) - 1;
-}
-
-uint64_t Histogram::Aggregate::ApproxQuantile(double q) const {
-  if (count == 0) return 0;
-  const double target = q * static_cast<double>(count);
-  uint64_t cumulative = 0;
-  for (size_t b = 0; b < kHistogramBuckets; ++b) {
-    cumulative += buckets[b];
-    if (static_cast<double>(cumulative) >= target && cumulative > 0) {
-      return Histogram::BucketUpperBound(b);
-    }
-  }
-  return Histogram::BucketUpperBound(kHistogramBuckets - 1);
-}
-
-uint64_t Histogram::Aggregate::ApproxMax() const {
-  for (size_t b = kHistogramBuckets; b-- > 0;) {
-    if (buckets[b] > 0) return Histogram::BucketUpperBound(b);
-  }
-  return 0;
 }
 
 namespace {
@@ -200,40 +178,6 @@ Histogram* MetricRegistry::GetHistogram(const std::string& name,
   return impl()->GetOrCreate(name, help, label, MetricType::kHistogram)
       .histogram.get();
 }
-
-MarkdownTable MetricRegistry::ToTable() const {
-  MarkdownTable table(
-      {"metric", "type", "value", "count", "p50", "p90", "p99", "max"});
-  Impl* impl = const_cast<MetricRegistry*>(this)->impl();
-  std::lock_guard<std::mutex> lock(impl->mu);
-  for (const auto& [key, entry] : impl->entries) {
-    switch (entry.type) {
-      case MetricType::kCounter:
-        table.AddRow({key, "counter", std::to_string(entry.counter->Value()),
-                      "-", "-", "-", "-", "-"});
-        break;
-      case MetricType::kGauge:
-        table.AddRow({key, "gauge", std::to_string(entry.gauge->Value()),
-                      "-", "-", "-", "-", "-"});
-        break;
-      case MetricType::kHistogram: {
-        const Histogram::Aggregate agg = entry.histogram->Read();
-        // `value` carries the sum so every row type has its headline
-        // number in one diffable column.
-        table.AddRow({key, "histogram", std::to_string(agg.sum),
-                      std::to_string(agg.count),
-                      std::to_string(agg.ApproxQuantile(0.50)),
-                      std::to_string(agg.ApproxQuantile(0.90)),
-                      std::to_string(agg.ApproxQuantile(0.99)),
-                      std::to_string(agg.ApproxMax())});
-        break;
-      }
-    }
-  }
-  return table;
-}
-
-std::string MetricRegistry::ToJson() const { return ToTable().ToJson(); }
 
 std::string MetricRegistry::ToPrometheusText() const {
   std::string out;

@@ -18,12 +18,10 @@
 //  * No dependencies outside the standard library, so every layer —
 //    core/, wire/, pipeline/, attacklab/ — may instrument freely.
 //
-// Exporters: ToJson() (a JSON array of per-metric rows, built on the
-// harness MarkdownTable machinery so BENCH_*.json can embed it and
-// tools/bench_diff.py can diff the numeric columns) and
-// ToPrometheusText() (Prometheus text exposition format, for the future
-// TCP collector tier). The metric catalog and naming convention live in
-// docs/observability.md; the standard accessors in obs/catalog.h.
+// Exporter: ToPrometheusText() (Prometheus text exposition format), which
+// the admin plane serves at /metrics (obs/admin_server.h). The metric
+// catalog and naming convention live in docs/observability.md; the
+// standard accessors in obs/catalog.h.
 // ---------------------------------------------------------------------------
 
 #include <atomic>
@@ -35,8 +33,6 @@
 #include <vector>
 
 namespace robust_sampling {
-
-class MarkdownTable;  // harness/table.h — ToTable() builds one
 
 namespace obs {
 
@@ -66,8 +62,9 @@ namespace internal {
 size_t ThreadStripe();
 }  // namespace internal
 
-/// Runtime kill switch, used by benches to measure instrumented vs
-/// uninstrumented throughput in one binary (bench_t3's obs-off row).
+/// Runtime kill switch: with it off every update returns after one relaxed
+/// load, so one binary can measure its instrumented and uninstrumented
+/// throughput side by side.
 void SetRuntimeEnabled(bool enabled);
 bool RuntimeEnabled();
 
@@ -153,12 +150,6 @@ class Histogram {
     uint64_t count = 0;
     uint64_t sum = 0;
     uint64_t buckets[kHistogramBuckets] = {};
-
-    /// Upper bound of the bucket where the cumulative count first reaches
-    /// q * count (0 when empty). A log2-granular quantile estimate.
-    uint64_t ApproxQuantile(double q) const;
-    /// Upper bound of the highest non-empty bucket (0 when empty).
-    uint64_t ApproxMax() const;
   };
 
   Aggregate Read() const {
@@ -222,17 +213,6 @@ class MetricRegistry {
   Histogram* GetHistogram(const std::string& name,
                           const std::string& help = "",
                           const MetricLabel& label = {});
-
-  /// One row per registered metric, sorted by (name, label) so snapshots
-  /// are deterministic. Columns: metric | type | value | count | p50 |
-  /// p90 | p99 | max — counters/gauges fill `value`, histograms fill
-  /// sum-in-`value` plus count and the log2-granular quantile estimates.
-  MarkdownTable ToTable() const;
-
-  /// ToTable() rendered as a JSON array of row objects (numeric cells
-  /// unquoted) — the payload benches embed into BENCH_*.json under
-  /// `"metrics"` when run with --metrics.
-  std::string ToJson() const;
 
   /// Prometheus text exposition format (# HELP/# TYPE lines, cumulative
   /// `_bucket{le=...}` histogram series).

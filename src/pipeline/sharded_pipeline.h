@@ -410,7 +410,9 @@ class ShardedPipeline {
   /// config, reconstructs the shard sketches through SketchRegistry<T>,
   /// and resumes exactly where the checkpointed pipeline stopped —
   /// continuing ingestion yields bit-identical snapshots to a run that
-  /// never stopped (asserted in tests/wire_test.cc). `options.num_shards`
+  /// never stopped (asserted in tests/wire_test.cc), for every kind except
+  /// space_saving, whose minimum-count ties revive in another order (see
+  /// heavy/space_saving.h). `options.num_shards`
   /// must match the checkpoint's shard count (state is per-shard);
   /// the remaining options are free to differ. The persisted round-robin
   /// cursor restores into producer 0, the handle that continues a

@@ -2,8 +2,6 @@
 
 #include <errno.h>
 #include <fcntl.h>
-#include <pthread.h>
-#include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -62,20 +60,13 @@ bool FileSink::SyncAndClose() {
   return ok_;
 }
 
-namespace {
-
-// The write-everything loop shared by both WriteAllFd modes. `emit` is
-// write(2) or send(2); returns false on unrecoverable error and reports
-// whether that error was EPIPE (so the sigmask mode can consume the
-// pending signal).
-template <typename EmitFn>
-bool WriteLoop(const uint8_t* p, size_t n, bool* raised_epipe,
-               EmitFn&& emit) {
+bool WriteAllFd(int fd, const void* data, size_t n) {
+  const auto* p = static_cast<const uint8_t*>(data);
   while (n > 0) {
-    const ssize_t written = emit(p, n);
+    // MSG_NOSIGNAL: a hung-up peer comes back as EPIPE, not SIGPIPE.
+    const ssize_t written = send(fd, p, n, MSG_NOSIGNAL);
     if (written < 0) {
       if (errno == EINTR) continue;
-      *raised_epipe = errno == EPIPE;
       return false;
     }
     obs::WireBytesOut().Increment(static_cast<uint64_t>(written));
@@ -83,46 +74,6 @@ bool WriteLoop(const uint8_t* p, size_t n, bool* raised_epipe,
     n -= static_cast<size_t>(written);
   }
   return true;
-}
-
-}  // namespace
-
-bool WriteAllFd(int fd, const void* data, size_t n, bool socket_nosignal) {
-  if (n == 0) return true;
-  const auto* p = static_cast<const uint8_t*>(data);
-  bool raised_epipe = false;
-  if (socket_nosignal) {
-    // Sockets suppress SIGPIPE per call: no sigmask dance on the hot
-    // network path, EPIPE comes back as a plain errno.
-    return WriteLoop(p, n, &raised_epipe, [fd](const uint8_t* q, size_t m) {
-      return send(fd, q, m, MSG_NOSIGNAL);
-    });
-  }
-  // Block SIGPIPE around the write so a hung-up reader surfaces as EPIPE
-  // -> false (the documented clean-failure contract) instead of the
-  // default signal disposition killing the process.
-  sigset_t pipe_mask, old_mask;
-  sigemptyset(&pipe_mask);
-  sigaddset(&pipe_mask, SIGPIPE);
-  pthread_sigmask(SIG_BLOCK, &pipe_mask, &old_mask);
-  const bool ok =
-      WriteLoop(p, n, &raised_epipe, [fd](const uint8_t* q, size_t m) {
-        return write(fd, q, m);
-      });
-  // Consume the SIGPIPE our own write generated (it is pending while
-  // blocked) before restoring the caller's mask — unless the caller had
-  // it blocked already, in which case any pending instance is theirs.
-  if (raised_epipe && sigismember(&old_mask, SIGPIPE) == 0) {
-    const struct timespec zero = {0, 0};
-    sigtimedwait(&pipe_mask, nullptr, &zero);
-  }
-  pthread_sigmask(SIG_SETMASK, &old_mask, nullptr);
-  return ok;
-}
-
-void FdSink::Append(const void* data, size_t n) {
-  if (!ok_ || n == 0) return;
-  ok_ = WriteAllFd(fd_, data, n, /*socket_nosignal=*/false);
 }
 
 BufferedSink::BufferedSink(ByteSink& base, size_t capacity)
@@ -199,38 +150,6 @@ size_t FileSource::ReadSomeImpl(void* out, size_t n) {
   pos_ += got;
   if (got > 0) obs::WireBytesIn().Increment(got);
   return got;
-}
-
-bool FdSource::ReadImpl(void* out, size_t n) {
-  auto* p = static_cast<uint8_t*>(out);
-  while (n > 0) {
-    const ssize_t got = read(fd_, p, n);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (got == 0) return false;  // EOF mid-read: truncated stream
-    obs::WireBytesIn().Increment(static_cast<uint64_t>(got));
-    p += got;
-    n -= static_cast<size_t>(got);
-    bytes_read_ += static_cast<uint64_t>(got);
-  }
-  return true;
-}
-
-size_t FdSource::ReadSomeImpl(void* out, size_t n) {
-  for (;;) {
-    const ssize_t got = read(fd_, out, n);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      return 0;
-    }
-    if (got > 0) {
-      obs::WireBytesIn().Increment(static_cast<uint64_t>(got));
-      bytes_read_ += static_cast<uint64_t>(got);
-    }
-    return static_cast<size_t>(got);
-  }
 }
 
 BufferedSource::BufferedSource(ByteSource& base, size_t capacity)
@@ -382,7 +301,7 @@ void PutString(ByteSink& sink, const std::string& s) {
 namespace {
 
 // Reads `len` bytes in bounded chunks so a corrupt length prefix on a
-// size-blind source (pipe) fails at EOF after at most one chunk of
+// size-blind source (socket) fails at EOF after at most one chunk of
 // over-allocation — never a len-sized allocation up front.
 template <typename Container>
 bool ReadChunked(ByteSource& source, Container* out, uint64_t len) {

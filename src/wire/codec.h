@@ -32,8 +32,8 @@ namespace wire {
 //    SerializeTo/DeserializeFrom hooks against this header alone.
 //  * Byte order is fixed little-endian regardless of host.
 //  * I/O cost is amortized: bulk array primitives emit whole rows per
-//    Append, and the Buffered{Sink,Source} adapters turn fd traffic into
-//    one syscall per ~64 KiB window instead of one per field.
+//    Append, and the Buffered{Sink,Source} adapters turn socket traffic
+//    into one syscall per ~64 KiB window instead of one per field.
 // ---------------------------------------------------------------------------
 
 // ----------------------------------------------------- format versions ---
@@ -66,7 +66,7 @@ inline constexpr size_t kWireBufferBytes = size_t{64} * 1024;
 // ----------------------------------------------------------------- sinks ---
 
 /// Abstract byte output. Append never aborts; media errors (disk full,
-/// closed pipe) latch `ok() == false` and later Appends become no-ops, so
+/// closed peer) latch `ok() == false` and later Appends become no-ops, so
 /// callers may write a whole message and check once at the end.
 class ByteSink {
  public:
@@ -110,44 +110,20 @@ class FileSink final : public ByteSink {
   bool ok_ = true;
 };
 
-/// Writes all `n` bytes to `fd`, retrying short writes and EINTR; returns
-/// false on any unrecoverable error (the caller latches its failure
-/// state). Two SIGPIPE-safety modes: with `socket_nosignal` the bytes go
-/// out via send(fd, ..., MSG_NOSIGNAL) — sockets only, no per-write
-/// sigmask syscalls, the hot network path — otherwise write(2) runs with
-/// SIGPIPE blocked around the loop (works on any fd, costs two sigmask
-/// syscalls plus a possible sigtimedwait per call). Either way a hung-up
-/// reader surfaces as EPIPE -> false instead of killing the process.
-/// Successful chunks count toward rs_wire_bytes_out_total.
-bool WriteAllFd(int fd, const void* data, size_t n,
-                bool socket_nosignal = false);
-
-/// Unbuffered writes to a caller-owned file descriptor (pipe shipping in
-/// the cross-process aggregator). Retries short writes and EINTR; does not
-/// close the fd. SIGPIPE-safe: the signal is blocked around each write
-/// (WriteAllFd), so a hung-up reader latches ok() == false (EPIPE)
-/// instead of killing the process. Each Append costs a write(2) plus two
-/// sigmask syscalls — wrap in a BufferedSink so serializers pay that per
-/// window, not per field.
-class FdSink final : public ByteSink {
- public:
-  explicit FdSink(int fd) : fd_(fd) {}
-
-  void Append(const void* data, size_t n) override;
-  bool ok() const override { return ok_; }
-
- private:
-  int fd_;
-  bool ok_ = true;
-};
+/// Writes all `n` bytes to the connected socket `fd` with
+/// send(..., MSG_NOSIGNAL), retrying short writes and EINTR; returns false
+/// on any unrecoverable error (the caller latches its failure state). A
+/// hung-up peer surfaces as EPIPE -> false instead of killing the process
+/// with SIGPIPE. Successful chunks count toward rs_wire_bytes_out_total.
+bool WriteAllFd(int fd, const void* data, size_t n);
 
 /// Batches small Appends into a 64 KiB window and forwards one Append per
 /// full window to the wrapped sink, so a serializer emitting per-field
-/// varints through FdSink costs one syscall round per buffer instead of
+/// varints through a net::SocketSink costs one send per window instead of
 /// per field. Appends at least a window in size bypass the buffer after a
 /// flush (no double copy). Flushes on destruction; callers that need the
-/// bytes on the wire before continuing (pipe shipping) call Flush()
-/// explicitly and then check ok().
+/// bytes on the wire before continuing (the shipper's ship write) call
+/// Flush() explicitly and then check ok().
 class BufferedSink final : public ByteSink {
  public:
   explicit BufferedSink(ByteSink& base, size_t capacity = kWireBufferBytes);
@@ -186,7 +162,7 @@ class ByteSource {
   /// Reads up to n bytes, returning the count delivered (0 at EOF or on a
   /// failed source). Unlike Read, a short result is not an error and does
   /// not poison the source — BufferedSource uses it to fill its window
-  /// with whatever the medium has ready (one read(2) on a pipe).
+  /// with whatever the medium has ready (one recv on a socket).
   size_t ReadSome(void* out, size_t n) {
     if (failed_ || n == 0) return 0;
     return ReadSomeImpl(out, n);
@@ -209,7 +185,7 @@ class ByteSource {
   void set_wire_version(uint64_t v) { wire_version_ = v; }
 
   /// Bytes left before EOF when the medium knows (buffers, regular files);
-  /// nullopt on pipes/sockets. Used to reject length prefixes that exceed
+  /// nullopt on sockets. Used to reject length prefixes that exceed
   /// the data that could possibly back them.
   virtual std::optional<uint64_t> remaining() const = 0;
 
@@ -217,7 +193,7 @@ class ByteSource {
   virtual bool ReadImpl(void* out, size_t n) = 0;
 
   /// Partial-read primitive backing ReadSome. The default delegates to
-  /// ReadImpl (exact-or-fail); fd-backed sources override it with a single
+  /// ReadImpl (exact-or-fail); socket sources override it with a single
   /// short-read syscall, in-memory sources with a clamp to what is left.
   virtual size_t ReadSomeImpl(void* out, size_t n) {
     return ReadImpl(out, n) ? n : 0;
@@ -269,31 +245,8 @@ class FileSource final : public ByteSource {
   uint64_t pos_ = 0;
 };
 
-/// Reads from a caller-owned file descriptor (pipe). Length is unknowable,
-/// so `remaining()` is nullopt and decoders fall back to hard caps. Each
-/// exact Read is a read(2) loop — a varint costs one syscall per byte, so
-/// wrap in a BufferedSource for anything beyond a few bytes.
-class FdSource final : public ByteSource {
- public:
-  explicit FdSource(int fd) : fd_(fd) {}
-
-  std::optional<uint64_t> remaining() const override { return std::nullopt; }
-
-  /// Total bytes successfully consumed (transfer accounting — e.g. the
-  /// aggregator bench's snapshot-bytes metric).
-  uint64_t bytes_read() const { return bytes_read_; }
-
- protected:
-  bool ReadImpl(void* out, size_t n) override;
-  size_t ReadSomeImpl(void* out, size_t n) override;
-
- private:
-  int fd_;
-  uint64_t bytes_read_ = 0;
-};
-
 /// Buffered adapter over another source: refills a 64 KiB window with one
-/// ReadSome per refill (one read(2) on fds) and serves decoder reads from
+/// ReadSome per refill (one recv on a socket) and serves decoder reads from
 /// memory, turning the per-varint syscall pattern into bulk transfers.
 /// Reads ahead of what the decoder consumes, so wrap exactly one logical
 /// stream per BufferedSource; consecutive messages on the same stream must
@@ -323,7 +276,7 @@ class BufferedSource final : public ByteSource {
 // --------------------------------------------------------- primitives ---
 
 /// Hard caps applied when a length prefix cannot be validated against
-/// `remaining()` (pipe sources). Generous for every in-tree sketch state,
+/// `remaining()` (socket sources). Generous for every in-tree sketch state,
 /// tight enough that a corrupt prefix cannot drive an OOM.
 inline constexpr uint64_t kMaxStringBytes = uint64_t{1} << 16;
 inline constexpr uint64_t kMaxVectorElements = uint64_t{1} << 26;
@@ -577,7 +530,7 @@ bool GetValueVector(ByteSource& source, std::vector<T>* out,
     return source.Fail();
   }
   out->clear();
-  // Bounded up-front reserve: on a size-blind source (pipe) the count is
+  // Bounded up-front reserve: on a size-blind source (socket) the count is
   // only cap-checked, so trust it incrementally instead of allocating
   // count elements before the first byte arrives (growth stays amortized).
   out->reserve(static_cast<size_t>(std::min<uint64_t>(count, 4096)));

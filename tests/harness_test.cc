@@ -35,28 +35,6 @@ TEST(MarkdownTableDeathTest, MismatchedRowAborts) {
   EXPECT_DEATH(t.AddRow({"only one"}), "row width");
 }
 
-TEST(MarkdownTableTest, ToJsonEmitsNumbersBareAndStringsQuoted) {
-  MarkdownTable t({"config", "Melem/s", "speedup", "err"});
-  t.AddRow({"pipeline x4", "12.5", "2.81x", "1.23e+18"});
-  t.AddRow({"quote\"slash\\", "-3", "nan", "0.5"});
-  const std::string json = t.ToJson();
-  EXPECT_NE(json.find("\"config\": \"pipeline x4\""), std::string::npos);
-  EXPECT_NE(json.find("\"Melem/s\": 12.5"), std::string::npos);
-  // "2.81x" is not a number; "1.23e+18" is.
-  EXPECT_NE(json.find("\"speedup\": \"2.81x\""), std::string::npos);
-  EXPECT_NE(json.find("\"err\": 1.23e+18"), std::string::npos);
-  // nan would be invalid bare JSON; it must be quoted.
-  EXPECT_NE(json.find("\"nan\""), std::string::npos);
-  // JSON forbids leading zeros, so zero-padded cells stay strings.
-  MarkdownTable zeros({"id", "v"});
-  zeros.AddRow({"007", "0.5"});
-  const std::string zjson = zeros.ToJson();
-  EXPECT_NE(zjson.find("\"id\": \"007\""), std::string::npos);
-  EXPECT_NE(zjson.find("\"v\": 0.5"), std::string::npos);
-  EXPECT_NE(json.find("\\\"slash\\\\"), std::string::npos);
-  EXPECT_EQ(MarkdownTable({"h"}).ToJson(), "[]");
-}
-
 TEST(FormattersTest, FormatDouble) {
   EXPECT_EQ(FormatDouble(0.123456, 3), "0.123");
   EXPECT_EQ(FormatDouble(2.0, 1), "2.0");

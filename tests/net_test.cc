@@ -123,7 +123,6 @@ TEST(SocketIoTest, SinkAndSourceRoundTripAcrossLoopback) {
   EXPECT_EQ(v, uint64_t{12345});
   EXPECT_TRUE(wire::GetString(source, &s));
   EXPECT_EQ(s, "loopback");
-  EXPECT_GT(source.bytes_read(), uint64_t{0});
   EXPECT_EQ(source.remaining(), std::nullopt);
 
   close(client);
@@ -1389,8 +1388,7 @@ std::string HttpGetBody(uint16_t port, const std::string& path,
   if (fd < 0) return "";
   net::SetSocketDeadlines(fd, 5000, 5000);
   const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
-  EXPECT_TRUE(wire::WriteAllFd(fd, request.data(), request.size(),
-                               /*socket_nosignal=*/true));
+  EXPECT_TRUE(wire::WriteAllFd(fd, request.data(), request.size()));
   std::string response;
   char buf[4096];
   ssize_t n = 0;

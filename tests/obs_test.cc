@@ -111,16 +111,6 @@ TEST(ObsMetricsTest, HistogramBucketsAreLog2Spaced) {
   EXPECT_EQ(Histogram::BucketUpperBound(10), 1023u);
 }
 
-TEST(ObsMetricsTest, HistogramQuantilesReturnBucketUpperBounds) {
-  Histogram histogram;
-  for (int i = 0; i < 90; ++i) histogram.Observe(100);   // bucket 7 (<=127)
-  for (int i = 0; i < 10; ++i) histogram.Observe(5000);  // bucket 13 (<=8191)
-  const Histogram::Aggregate agg = histogram.Read();
-  EXPECT_EQ(agg.ApproxQuantile(0.5), 127u);
-  EXPECT_EQ(agg.ApproxQuantile(0.99), 8191u);
-  EXPECT_EQ(agg.ApproxMax(), 8191u);
-}
-
 TEST(ObsMetricsTest, RuntimeDisableStopsUpdates) {
   Counter counter;
   Gauge gauge;
@@ -158,8 +148,8 @@ TEST(ObsRegistryTest, SnapshotsAreDeterministicAndSorted) {
   registry.GetCounter("rs_test_det_b_total")->Increment(2);
   registry.GetCounter("rs_test_det_a_total")->Increment(1);
   registry.GetHistogram("rs_test_det_h_ns")->Observe(42);
-  const std::string first = registry.ToJson();
-  const std::string second = registry.ToJson();
+  const std::string first = registry.ToPrometheusText();
+  const std::string second = registry.ToPrometheusText();
   EXPECT_EQ(first, second);
   const std::vector<std::string> names = registry.Names();
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
@@ -182,17 +172,6 @@ TEST(ObsRegistryTest, PrometheusTextExposesSeries) {
             std::string::npos);
   EXPECT_NE(text.find("rs_test_prom_ns_sum 100"), std::string::npos);
   EXPECT_NE(text.find("rs_test_prom_ns_count 1"), std::string::npos);
-}
-
-TEST(ObsRegistryTest, ToJsonRowsCarryNumericCells) {
-  MetricRegistry& registry = MetricRegistry::Global();
-  registry.GetCounter("rs_test_json_total")->Increment(5);
-  const std::string json = registry.ToJson();
-  // The value cell must be an unquoted number for bench_diff to compare.
-  EXPECT_NE(json.find("\"metric\": \"rs_test_json_total\", \"type\": "
-                      "\"counter\", \"value\": 5"),
-            std::string::npos)
-      << json;
 }
 
 // --- flight recorder --------------------------------------------------------

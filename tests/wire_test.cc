@@ -4,18 +4,24 @@
 // Checkpoint -> kill -> Restore -> continue contract (bit-identical to an
 // uninterrupted run).
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "core/random.h"
 #include "gtest/gtest.h"
+#include "net/socket_io.h"
+#include "obs/catalog.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "pipeline/sharded_pipeline.h"
@@ -460,6 +466,83 @@ TEST(WireSnapshotTest, DoubleElementKindsRoundTrip) {
   }
 }
 
+// Cross-process aggregation in one process (the wire bytes are the process
+// boundary): W separately seeded pipelines each ingest one slice of a
+// stream and ship a snapshot, and the revived snapshots merge into a
+// summary of the whole stream. count_min shares its row hashes
+// (config.seed), so counter addition reproduces one pipeline exactly. Each
+// robust sample is an eps-approximation of the same stream for the prefix
+// system (Theorem 1.2 plus mergeability), so ranks differ by at most 2*eps.
+TEST(WireSnapshotTest, SeparatelySeededPipelinesMergeLikeOneStream) {
+  constexpr double kEps = 0.05;
+  constexpr int64_t kValues = 4096;
+  constexpr uint64_t kBaseSeed = 0x7A11;
+  constexpr size_t kBatch = 4096;
+  const std::vector<int64_t> stream = TestStream(200'000, kBaseSeed, kValues);
+  auto run_pipeline = [&](const SketchConfig& config,
+                         std::span<const int64_t> slice) {
+    PipelineOptions options;
+    options.num_shards = 2;
+    ShardedPipeline<int64_t> pipeline(config, options);
+    for (size_t off = 0; off < slice.size(); off += kBatch) {
+      pipeline.Ingest(slice.subspan(off, std::min(kBatch, slice.size() - off)));
+    }
+    return pipeline.Snapshot();
+  };
+  for (const std::string kind : {"robust_sample", "count_min"}) {
+    SketchConfig config;
+    config.kind = kind;
+    config.eps = kEps;
+    config.delta = 0.05;
+    config.universe_size = kValues;
+    config.width = 2048;
+    config.depth = 4;
+    config.seed = kBaseSeed;
+    const auto single = run_pipeline(config, stream);
+    ASSERT_EQ(single.StreamSize(), stream.size()) << kind;
+    for (size_t workers : {2, 4, 8}) {
+      const std::string context =
+          kind + " over " + std::to_string(workers) + " workers";
+      const size_t slice_len = stream.size() / workers;
+      StreamSketch<int64_t> merged;
+      for (size_t w = 0; w < workers; ++w) {
+        SketchConfig worker_config = config;
+        if (kind != "count_min") {
+          worker_config.seed = MixSeed(kBaseSeed, 1000 + w);
+        }
+        const size_t off = w * slice_len;
+        const size_t len = w + 1 == workers ? stream.size() - off : slice_len;
+        const auto snapshot = run_pipeline(
+            worker_config, std::span(stream).subspan(off, len));
+        wire::BufferSink sink;
+        ASSERT_TRUE(wire::WriteSnapshot(snapshot, worker_config, sink))
+            << context;
+        wire::BufferSource source(sink.bytes());
+        std::string error;
+        auto revived = wire::ReadSnapshot<int64_t>(source, &error);
+        ASSERT_TRUE(revived.valid()) << context << ": " << error;
+        if (merged.valid()) {
+          merged.MergeFrom(revived);
+        } else {
+          merged = std::move(revived);
+        }
+      }
+      ASSERT_EQ(merged.StreamSize(), stream.size()) << context;
+      if (kind == "count_min") {
+        for (int64_t x = 1; x <= kValues; ++x) {
+          ASSERT_EQ(merged.EstimateFrequency(x), single.EstimateFrequency(x))
+              << context << " freq(" << x << ")";
+        }
+      } else {
+        for (double x = 0.0; x <= kValues; x += 64.0) {
+          EXPECT_LE(std::abs(merged.Rank(x) - single.Rank(x)), 2 * kEps)
+              << context << " rank(" << x << ")";
+        }
+      }
+    }
+  }
+}
+
 // --------------------------------------------- corruption / truncation ----
 
 TEST(WireSnapshotTest, TruncationAtEveryPrefixFailsCleanly) {
@@ -572,49 +655,39 @@ TEST(WireSnapshotTest, OutOfWireLimitConfigsFailAtWriteTime) {
   EXPECT_NE(error.find("capacity"), std::string::npos) << error;
 }
 
-// --------------------------------------------------- fd (pipe) shipping ----
+// ----------------------------------------------------- socket shipping ----
 
-// FdSource knows nothing about its length (remaining() is nullopt), so
-// decoding straight off a pipe exercises the codec's hard-cap validation
-// branches — the cross-process shipping path of bench_t4.
-TEST(WireFdTest, SnapshotShipsThroughAPipe) {
+// A socket source knows nothing about its length (remaining() is nullopt),
+// so decoding straight off a stream socket exercises the codec's hard-cap
+// validation branches. Each test ships over a local socket pair; its
+// messages are a few KiB, far below the socket buffer, so a same-thread
+// write-then-read cannot block.
+TEST(WireSocketTest, SnapshotShipsThroughASocketPair) {
   SketchConfig config = SmallConfig("robust_sample");
   auto original = SketchRegistry<int64_t>::Global().Create(config);
   original.InsertBatch(TestStream(4000, 0xF1D0));
+  wire::BufferSink expected;
+  ASSERT_TRUE(wire::WriteSnapshot(original, config, expected));
 
   int fds[2];
-  ASSERT_EQ(pipe(fds), 0);
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   {
-    // Snapshot is a few KiB — far below the pipe buffer, so a same-thread
-    // write-then-read cannot block.
-    wire::FdSink sink(fds[1]);
+    net::SocketSink sink(fds[1]);
     ASSERT_TRUE(wire::WriteSnapshot(original, config, sink));
     close(fds[1]);
   }
-  wire::FdSource source(fds[0]);
+  const uint64_t bytes_in_before = obs::WireBytesIn().Value();
+  net::SocketSource source(fds[0]);
   std::string error;
   auto revived = wire::ReadSnapshot<int64_t>(source, &error);
   close(fds[0]);
   ASSERT_TRUE(revived.valid()) << error;
-  EXPECT_GT(source.bytes_read(), 0u);
-  ExpectIdenticalAnswers(original, revived, "pipe round trip");
+  EXPECT_EQ(obs::WireBytesIn().Value() - bytes_in_before,
+            expected.bytes().size());
+  ExpectIdenticalAnswers(original, revived, "socket round trip");
 }
 
-// A hung-up reader must latch ok() == false via EPIPE — the default
-// SIGPIPE disposition would kill this process, so merely surviving the
-// Append is the regression assertion.
-TEST(WireFdTest, HungUpReaderLatchesErrorInsteadOfSigpipe) {
-  int fds[2];
-  ASSERT_EQ(pipe(fds), 0);
-  close(fds[0]);  // the reader goes away
-  wire::FdSink sink(fds[1]);
-  const uint8_t byte = 0x5A;
-  sink.Append(&byte, 1);
-  EXPECT_FALSE(sink.ok());
-  close(fds[1]);
-}
-
-TEST(WireFdTest, TruncatedPipeStreamFailsCleanly) {
+TEST(WireSocketTest, TruncatedSocketStreamFailsCleanly) {
   SketchConfig config = SmallConfig("reservoir");
   auto original = SketchRegistry<int64_t>::Global().Create(config);
   original.InsertBatch(TestStream(2000, 0xF1D1));
@@ -622,36 +695,34 @@ TEST(WireFdTest, TruncatedPipeStreamFailsCleanly) {
   ASSERT_TRUE(wire::WriteSnapshot(original, config, buffered));
 
   int fds[2];
-  ASSERT_EQ(pipe(fds), 0);
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   {
-    wire::FdSink sink(fds[1]);
+    net::SocketSink sink(fds[1]);
     // Ship only half the message, then hang up.
     sink.Append(buffered.bytes().data(), buffered.bytes().size() / 2);
     close(fds[1]);
   }
-  wire::FdSource source(fds[0]);
+  net::SocketSource source(fds[0]);
   std::string error;
   EXPECT_FALSE(wire::ReadSnapshot<int64_t>(source, &error).valid());
   EXPECT_FALSE(error.empty());
   close(fds[0]);
 }
 
-// Consecutive snapshots on one pipe must ship through a single
+// Consecutive snapshots on one stream must ship through a single
 // BufferedSource: its read-ahead window may hold the head of the next
-// message, so the aggregator's ship protocol keeps one adapter per
-// stream. Three messages through one adapter is the regression check.
-TEST(WireFdTest, ConsecutiveSnapshotsShipThroughOneBufferedSource) {
+// message, so a reader keeps one adapter per stream. Three messages
+// through one adapter is the regression check.
+TEST(WireSocketTest, ConsecutiveSnapshotsShipThroughOneBufferedSource) {
   SketchConfig config = SmallConfig("robust_sample");
   auto original = SketchRegistry<int64_t>::Global().Create(config);
   original.InsertBatch(TestStream(3000, 0xB1F));
 
   int fds[2];
-  ASSERT_EQ(pipe(fds), 0);
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   {
-    // Three small snapshots stay far below the pipe buffer, so a
-    // same-thread write-then-read cannot block.
-    wire::FdSink fd_sink(fds[1]);
-    wire::BufferedSink sink(fd_sink);
+    net::SocketSink socket_sink(fds[1]);
+    wire::BufferedSink sink(socket_sink);
     for (int i = 0; i < 3; ++i) {
       ASSERT_TRUE(wire::WriteSnapshot(original, config, sink)) << i;
     }
@@ -659,13 +730,13 @@ TEST(WireFdTest, ConsecutiveSnapshotsShipThroughOneBufferedSource) {
     ASSERT_TRUE(sink.ok());
     close(fds[1]);
   }
-  wire::FdSource fd_source(fds[0]);
-  wire::BufferedSource source(fd_source);
+  net::SocketSource socket_source(fds[0]);
+  wire::BufferedSource source(socket_source);
   for (int i = 0; i < 3; ++i) {
     std::string error;
     auto revived = wire::ReadSnapshot<int64_t>(source, &error);
     ASSERT_TRUE(revived.valid()) << "message " << i << ": " << error;
-    ExpectIdenticalAnswers(original, revived, "buffered pipe message");
+    ExpectIdenticalAnswers(original, revived, "buffered socket message");
   }
   uint8_t extra = 0;
   EXPECT_FALSE(source.Read(&extra, 1));  // stream fully consumed
