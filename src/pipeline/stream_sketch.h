@@ -126,11 +126,13 @@ namespace sample_query {
 // sampler adapters route their query hooks through these helpers.
 
 /// Empirical q-quantile of the sample, with the QuantileSketch convention
-/// (smallest value whose rank fraction is >= q).
+/// (smallest value whose rank fraction is >= q). q must lie in [0, 1], as
+/// for KllSketch::Quantile; NaN fails the check.
 template <typename T>
   requires std::convertible_to<T, double>
 double Quantile(std::span<const T> sample, double q) {
   RS_CHECK_MSG(!sample.empty(), "quantile query on an empty sample");
+  RS_CHECK_MSG(q >= 0.0 && q <= 1.0, "quantile q outside [0, 1]");
   std::vector<double> sorted;
   sorted.reserve(sample.size());
   for (const T& v : sample) sorted.push_back(static_cast<double>(v));

@@ -443,20 +443,89 @@ bool GetCounterSummary(ByteSource& source, uint64_t* k, uint64_t* n,
   return true;
 }
 
-void Fnv1a64::Update(const void* data, size_t n) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  uint64_t h = state_;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
+namespace {
+
+// The v1 and v2 frame checksum: one serial multiply per byte.
+uint64_t Fnv1a64(std::span<const uint8_t> bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const uint8_t b : bytes) {
+    h ^= b;
     h *= 0x100000001b3ULL;
   }
-  state_ = h;
+  return h;
 }
 
-uint64_t Checksum(std::span<const uint8_t> bytes) {
-  Fnv1a64 fnv;
-  fnv.Update(bytes.data(), bytes.size());
-  return fnv.digest();
+// XXH64 with seed 0, the v3 frame checksum, after the reference
+// specification (xxHash's doc/xxhash_spec.md). Four independent lanes
+// hash 32-byte stripes; words load little-endian, so every host computes
+// the same digest.
+constexpr uint64_t kXxPrime1 = 0x9E3779B185EBCA87ULL;
+constexpr uint64_t kXxPrime2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr uint64_t kXxPrime3 = 0x165667B19E3779F9ULL;
+constexpr uint64_t kXxPrime4 = 0x85EBCA77C2B2AE63ULL;
+constexpr uint64_t kXxPrime5 = 0x27D4EB2F165667C5ULL;
+
+template <typename Word>
+Word LoadLittleEndian(const uint8_t* p) {
+  Word v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof(Word));
+  } else {
+    for (size_t i = 0; i < sizeof(Word); ++i) {
+      v |= static_cast<Word>(p[i]) << (8 * i);
+    }
+  }
+  return v;
+}
+
+uint64_t XxRound(uint64_t acc, uint64_t input) {
+  return std::rotl(acc + input * kXxPrime2, 31) * kXxPrime1;
+}
+
+uint64_t XxMergeRound(uint64_t acc, uint64_t lane) {
+  return (acc ^ XxRound(0, lane)) * kXxPrime1 + kXxPrime4;
+}
+
+uint64_t Xxh64(std::span<const uint8_t> bytes) {
+  const uint8_t* p = bytes.data();
+  const uint8_t* const end = p + bytes.size();
+  uint64_t h = kXxPrime5;
+  if (bytes.size() >= 32) {
+    uint64_t lane[4] = {kXxPrime1 + kXxPrime2, kXxPrime2, 0, 0 - kXxPrime1};
+    for (; end - p >= 32; p += 32) {
+      for (int i = 0; i < 4; ++i) {
+        lane[i] = XxRound(lane[i], LoadLittleEndian<uint64_t>(p + 8 * i));
+      }
+    }
+    h = std::rotl(lane[0], 1) + std::rotl(lane[1], 7) +
+        std::rotl(lane[2], 12) + std::rotl(lane[3], 18);
+    for (const uint64_t v : lane) h = XxMergeRound(h, v);
+  }
+  h += bytes.size();
+  for (; end - p >= 8; p += 8) {
+    h ^= XxRound(0, LoadLittleEndian<uint64_t>(p));
+    h = std::rotl(h, 27) * kXxPrime1 + kXxPrime4;
+  }
+  if (end - p >= 4) {
+    h ^= LoadLittleEndian<uint32_t>(p) * kXxPrime1;
+    h = std::rotl(h, 23) * kXxPrime2 + kXxPrime3;
+    p += 4;
+  }
+  for (; p < end; ++p) {
+    h ^= *p * kXxPrime5;
+    h = std::rotl(h, 11) * kXxPrime1;
+  }
+  h ^= h >> 33;
+  h *= kXxPrime2;
+  h ^= h >> 29;
+  h *= kXxPrime3;
+  return h ^ (h >> 32);
+}
+
+}  // namespace
+
+uint64_t FrameChecksum(uint64_t version, std::span<const uint8_t> bytes) {
+  return version >= kWireFormatV3 ? Xxh64(bytes) : Fnv1a64(bytes);
 }
 
 // ----------------------------------------------------------- body framing ---
@@ -539,7 +608,7 @@ bool WriteFramedBody(ByteSink& sink, const char magic[4],
   if (encoding != BodyEncoding::kNone) PutVarint(sink, body.size());
   PutVarint(sink, stored.size());
   sink.Append(stored.data(), stored.size());
-  PutFixed64(sink, Checksum(stored));
+  PutFixed64(sink, FrameChecksum(kWireFormatCurrent, stored));
   return sink.ok();
 }
 
@@ -611,8 +680,9 @@ bool ReadFramedBody(ByteSource& source, const char magic[4],
     return FramedError(error, magic, "truncated checksum");
   }
   // Integrity before interpretation: the checksum covers the stored bytes,
-  // so corruption is caught here and never reaches the decompressor.
-  if (Checksum(*body) != expected_checksum) {
+  // so corruption is caught here and never reaches the decompressor. The
+  // header's version picks the hash, so a flipped version byte fails too.
+  if (FrameChecksum(version, *body) != expected_checksum) {
     source.Fail();
     return FramedError(error, magic, "checksum mismatch");
   }

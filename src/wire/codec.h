@@ -42,14 +42,17 @@ namespace wire {
 /// checksum` with per-element varint payload encodings. v2 adds a body
 /// encoding byte (none/zstd) after the version and switches the bulk
 /// payload shapes (value vectors, count maps, CountMin rows) to
-/// fixed-width 8-byte elements. Writers always emit kWireFormatCurrent;
-/// readers accept every version in [kWireFormatV1, kWireFormatCurrent]
-/// via explicit version-upgrade paths (see docs/wire.md).
+/// fixed-width 8-byte elements. v3 changes only the trailing checksum
+/// (XXH64 instead of FNV-1a64, see FrameChecksum); its payloads decode
+/// with the v2 rules. Writers always emit kWireFormatCurrent; readers
+/// accept every version in [kWireFormatV1, kWireFormatCurrent] via
+/// explicit version-upgrade paths (see docs/wire.md).
 inline constexpr uint64_t kWireFormatV1 = 1;
 inline constexpr uint64_t kWireFormatV2 = 2;
-inline constexpr uint64_t kWireFormatCurrent = kWireFormatV2;
+inline constexpr uint64_t kWireFormatV3 = 3;
+inline constexpr uint64_t kWireFormatCurrent = kWireFormatV3;
 
-/// Body encoding carried in the v2 frame header. kZstd is written only
+/// Body encoding carried in the frame header since v2. kZstd is written only
 /// when compiled-in support exists *and* compression actually shrinks the
 /// body; otherwise writers silently fall back to kNone, so producing a
 /// compressed checkpoint can never fail on a zstd-less build.
@@ -319,18 +322,10 @@ bool GetBytes(ByteSource& source, std::vector<uint8_t>* out,
 void PutStateWords(ByteSink& sink, const std::array<uint64_t, 4>& words);
 bool GetStateWords(ByteSource& source, std::array<uint64_t, 4>* words);
 
-/// FNV-1a 64-bit — the integrity checksum appended to every framed body.
-class Fnv1a64 {
- public:
-  void Update(const void* data, size_t n);
-  uint64_t digest() const { return state_; }
-
- private:
-  uint64_t state_ = 0xcbf29ce484222325ULL;
-};
-
-/// Checksum of a whole buffer in one call.
-uint64_t Checksum(std::span<const uint8_t> bytes);
+/// The integrity checksum a frame of format `version` carries over its
+/// stored body: FNV-1a64 for v1 and v2, XXH64 with seed 0 from v3 on.
+/// Both catch torn writes and flipped bits; neither authenticates a peer.
+uint64_t FrameChecksum(uint64_t version, std::span<const uint8_t> bytes);
 
 // -------------------------------------------------------- value codec ---
 
@@ -341,7 +336,7 @@ uint64_t Checksum(std::span<const uint8_t> bytes);
 /// Two element encodings exist: single scalars (PutValue/GetValue) use
 /// varints — zigzag for signed, plain for unsigned, fixed64 bit patterns
 /// for floating point — in every format version; bulk shapes (vectors,
-/// count maps) use the same varints in v1 but fixed 8-byte rows in v2
+/// count maps) use the same varints in v1 but fixed 8-byte rows from v2 on
 /// (integral as two's-complement little-endian, floating point as IEEE
 /// double bits), which is what makes whole-row memcpy emission possible.
 template <typename T>
@@ -497,7 +492,7 @@ bool GetValueArray(ByteSource& source, std::vector<T>* out, uint64_t count) {
   }
 }
 
-/// Count-prefixed element vectors. Writers emit the current (v2) shape:
+/// Count-prefixed element vectors. Writers emit the v2 (current) shape:
 /// varint count followed by fixed 8-byte rows. The reader branches on the
 /// source's wire_version() so v1 blobs (per-element varints) keep
 /// decoding. The count is validated against `remaining()` when known and
@@ -569,13 +564,15 @@ bool GetCounterSummary(ByteSource& source, uint64_t* k, uint64_t* n,
 
 // ------------------------------------------------------ body framing ---
 
-/// Framed-body helpers shared by snapshots and checkpoints. A v2 message
+/// Framed-body helpers shared by snapshots and checkpoints. A v3 message
 /// is `magic (4 bytes) | format version varint | encoding byte |
 /// [raw body length varint, iff encoded] | stored length varint |
-/// stored body | FNV-1a64(stored body) fixed64`; v1 lacked the encoding
-/// byte and raw length. Integrity first: the checksum covers the *stored*
-/// (possibly compressed) bytes and is verified before decompression or
-/// any body parse, so random corruption anywhere is caught up front.
+/// stored body | XXH64(stored body) fixed64`; v2 had the same layout
+/// with an FNV-1a64 checksum, and v1 also lacked the encoding byte and
+/// raw length. Integrity first: the checksum (picked by the version the
+/// header names) covers the *stored* (possibly compressed) bytes and is
+/// verified before decompression or any body parse, so random corruption
+/// anywhere is caught up front.
 inline constexpr uint64_t kMaxBodyBytes = uint64_t{1} << 30;
 
 /// Returns false — writing nothing — if `body` exceeds kMaxBodyBytes: a

@@ -16,6 +16,7 @@
 #include "gtest/gtest.h"
 #include "obs/catalog.h"
 #include "pipeline/sketch_registry.h"
+#include "wire/codec.h"
 
 namespace robust_sampling {
 namespace {
@@ -86,6 +87,27 @@ TEST(DocsDriftTest, EveryRegisteredMetricIsDocumented) {
         << "metric '" << d.name
         << "' is registered but not documented in docs/observability.md";
   }
+}
+
+// docs/wire.md's current-frame block must name the version the writers
+// emit, so a format bump cannot leave the doc describing the old frame.
+TEST(DocsDriftTest, WireDocNamesTheCurrentFrameVersion) {
+  const std::string doc = ReadDoc("docs/wire.md");
+  const std::string version = std::to_string(wire::kWireFormatCurrent);
+  const std::string intro =
+      "The current frame is **wire format v" + version + "**";
+  const size_t at = doc.find(intro);
+  ASSERT_NE(at, std::string::npos)
+      << "docs/wire.md does not say: " << intro;
+  const size_t open = doc.find("```", at);
+  ASSERT_NE(open, std::string::npos) << "no frame block after: " << intro;
+  const size_t close = doc.find("```", open + 3);
+  ASSERT_NE(close, std::string::npos) << "unclosed frame block";
+  const std::string block = doc.substr(open, close - open);
+  EXPECT_NE(block.find("format version varint (= " + version + ")"),
+            std::string::npos)
+      << "docs/wire.md's current-frame block names another version:\n"
+      << block;
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// Golden-blob corpus: frozen wire-format-v1 snapshot and checkpoint
-// files under tests/golden/, written by the v1 writer before the v2
-// format landed. Every test here proves the CURRENT reader still revives
+// Golden-blob corpus: frozen snapshot and checkpoint files under
+// tests/golden/, one set per retired wire format version, each written by
+// the last writer of that version (v1 before the v2 format landed, v2
+// before v3). Every test here proves the CURRENT reader still revives
 // them with byte-for-byte-equivalent state — the schema-evolution
 // contract of docs/wire.md ("readers upgrade, blobs never rot"). The
 // blobs must never be regenerated: a regenerated blob silently tests the
@@ -23,9 +24,9 @@
 namespace robust_sampling {
 namespace {
 
-// Exactly the configuration the generator used when the corpus was
-// frozen (2026-08, wire format v1). Do not change any value: the blobs
-// embed it, and revival compares against sketches rebuilt from it.
+// Exactly the configuration the generators used when the sets were
+// frozen (v1 in 2026-08, v2 in 2026-10). Do not change any value: the
+// blobs embed it, and revival compares against sketches rebuilt from it.
 SketchConfig GoldenConfig(const std::string& kind) {
   SketchConfig config;
   config.kind = kind;
@@ -40,7 +41,7 @@ SketchConfig GoldenConfig(const std::string& kind) {
   return config;
 }
 
-// The exact stream the corpus was built from.
+// The exact stream every set was built from.
 std::vector<int64_t> GoldenStream(size_t n, uint64_t seed) {
   Rng rng(seed);
   std::vector<int64_t> out;
@@ -99,46 +100,54 @@ void ExpectIdenticalAnswers(const StreamSketch<int64_t>& a,
   }
 }
 
-// Every kind has a v1 snapshot blob, and the current (v2) reader revives
-// it into exactly the state the v1 writer serialized: identical answers
-// to a freshly built sketch over the same stream, and a re-serialization
-// (v2) byte-identical to the fresh sketch's — i.e. the upgrade read lost
-// nothing and invented nothing.
-TEST(GoldenBlobTest, V1SnapshotsReviveByteEquivalentlyOnTheV2Reader) {
+std::string GoldenFile(uint64_t version, const std::string& kind,
+                       const std::string& ext) {
+  return "v" + std::to_string(version) + "_" + kind + ext;
+}
+
+// Every kind has a snapshot blob per retired version, and the current
+// reader revives it into exactly the state the old writer serialized:
+// identical answers to a freshly built sketch over the same stream, and a
+// re-serialization (current writer) byte-identical to the fresh sketch's
+// — i.e. the upgrade read lost nothing and invented nothing.
+void ExpectSnapshotsReviveByteEquivalently(uint64_t version) {
   const auto stream = GoldenStream(2000, 0x601D);
   for (const auto& kind : SketchRegistry<int64_t>::Global().Kinds()) {
+    const std::string file = GoldenFile(version, kind, ".snap");
     const SketchConfig config = GoldenConfig(kind);
     auto fresh = SketchRegistry<int64_t>::Global().Create(config);
     fresh.InsertBatch(stream);
 
-    wire::FileSource source(GoldenPath("v1_" + kind + ".snap"));
+    wire::FileSource source(GoldenPath(file));
     ASSERT_TRUE(source.open())
-        << "missing golden blob for " << kind
+        << "missing golden blob " << file
         << " — the corpus under tests/golden/ is frozen, never regenerate";
     std::string error;
     auto revived = wire::ReadSnapshot<int64_t>(source, &error);
-    ASSERT_TRUE(revived.valid()) << kind << ": " << error;
-    ExpectIdenticalAnswers(fresh, revived, kind + " v1 golden snapshot");
+    ASSERT_TRUE(revived.valid()) << file << ": " << error;
+    ExpectIdenticalAnswers(fresh, revived, file);
 
     // Byte-level equivalence: the revived state re-serializes (with the
     // current writer) to exactly what the fresh sketch serializes to.
     wire::BufferSink from_revived;
     wire::BufferSink from_fresh;
-    ASSERT_TRUE(wire::WriteSnapshot(revived, config, from_revived)) << kind;
-    ASSERT_TRUE(wire::WriteSnapshot(fresh, config, from_fresh)) << kind;
+    ASSERT_TRUE(wire::WriteSnapshot(revived, config, from_revived)) << file;
+    ASSERT_TRUE(wire::WriteSnapshot(fresh, config, from_fresh)) << file;
     EXPECT_EQ(from_revived.bytes(), from_fresh.bytes())
-        << kind << ": v1 revival diverged from fresh state at byte level";
+        << file << ": revival diverged from fresh state at byte level";
   }
 }
 
-// Every kind has a v1 checkpoint blob (2 shards, the full golden stream
-// in 4 batches). Restoring it on the current reader and continuing with
-// a suffix must equal a pipeline that ingested prefix + suffix without
-// interruption — the cross-version continuation contract.
-TEST(GoldenBlobTest, V1CheckpointsRestoreAndContinueOnTheV2Reader) {
+// Every kind has a checkpoint blob per retired version (2 shards, the
+// full golden stream in 4 batches). Restoring it on the current reader
+// and continuing with a suffix must equal a pipeline that ingested
+// prefix + suffix without interruption — the cross-version continuation
+// contract.
+void ExpectCheckpointsRestoreAndContinue(uint64_t version) {
   const auto stream = GoldenStream(2000, 0x601D);
   const auto suffix = GoldenStream(1000, 0x601E);
   for (const auto& kind : SketchRegistry<int64_t>::Global().Kinds()) {
+    const std::string file = GoldenFile(version, kind, ".ck");
     const SketchConfig config = GoldenConfig(kind);
     PipelineOptions options;
     options.num_shards = 2;  // the corpus was checkpointed with 2 shards
@@ -153,25 +162,45 @@ TEST(GoldenBlobTest, V1CheckpointsRestoreAndContinueOnTheV2Reader) {
     uninterrupted.Ingest(suffix);
 
     std::string error;
-    auto restored = ShardedPipeline<int64_t>::Restore(
-        GoldenPath("v1_" + kind + ".ck"), options, &error);
-    ASSERT_NE(restored, nullptr) << kind << ": " << error;
-    EXPECT_EQ(restored->total_ingested(), stream.size()) << kind;
+    auto restored = ShardedPipeline<int64_t>::Restore(GoldenPath(file),
+                                                      options, &error);
+    ASSERT_NE(restored, nullptr) << file << ": " << error;
+    EXPECT_EQ(restored->total_ingested(), stream.size()) << file;
     restored->Ingest(suffix);
 
     ExpectIdenticalAnswers(uninterrupted.Snapshot(), restored->Snapshot(),
-                           kind + " v1 golden checkpoint");
+                           file);
   }
 }
 
-// The corpus covers every kind the registry knows — a newly registered
-// kind must get a golden pair cut from the release that introduces it
-// (at its then-current format version).
+TEST(GoldenBlobTest, V1SnapshotsReviveByteEquivalentlyOnTheCurrentReader) {
+  ExpectSnapshotsReviveByteEquivalently(wire::kWireFormatV1);
+}
+
+TEST(GoldenBlobTest, V1CheckpointsRestoreAndContinueOnTheCurrentReader) {
+  ExpectCheckpointsRestoreAndContinue(wire::kWireFormatV1);
+}
+
+TEST(GoldenBlobTest, V2SnapshotsReviveByteEquivalentlyOnTheCurrentReader) {
+  ExpectSnapshotsReviveByteEquivalently(wire::kWireFormatV2);
+}
+
+TEST(GoldenBlobTest, V2CheckpointsRestoreAndContinueOnTheCurrentReader) {
+  ExpectCheckpointsRestoreAndContinue(wire::kWireFormatV2);
+}
+
+// The corpus covers every kind the registry knows at every retired
+// version, v1 through current - 1: a format bump must add the set cut
+// from the last commit of the version it retires (tests/golden/README.md).
 TEST(GoldenBlobTest, CorpusCoversEveryRegisteredKind) {
-  for (const auto& kind : SketchRegistry<int64_t>::Global().Kinds()) {
-    for (const std::string ext : {".snap", ".ck"}) {
-      wire::FileSource probe(GoldenPath("v1_" + kind + ext));
-      EXPECT_TRUE(probe.open()) << "no golden blob v1_" << kind << ext;
+  for (uint64_t version = wire::kWireFormatV1;
+       version < wire::kWireFormatCurrent; ++version) {
+    for (const auto& kind : SketchRegistry<int64_t>::Global().Kinds()) {
+      for (const std::string ext : {".snap", ".ck"}) {
+        const std::string file = GoldenFile(version, kind, ext);
+        wire::FileSource probe(GoldenPath(file));
+        EXPECT_TRUE(probe.open()) << "no golden blob " << file;
+      }
     }
   }
 }

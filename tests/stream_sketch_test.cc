@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <span>
 #include <vector>
@@ -104,6 +105,32 @@ TEST(StreamSketchDeathTest, MergingDifferentKindsAborts) {
   auto a = SketchRegistry<int64_t>::Global().Create(reservoir_config);
   auto b = SketchRegistry<int64_t>::Global().Create(kll_config);
   EXPECT_DEATH(a.MergeFrom(b), "different kinds");
+}
+
+// The sampler kinds answer Quantile from their sample under
+// KllSketch::Quantile's contract: q lies in [0, 1], and NaN fails the
+// check. q = 0 and q = 1 answer the sample's min and max.
+TEST(SampleQuantileDeathTest, QOutsideTheUnitIntervalAborts) {
+  std::vector<int64_t> stream(1000);
+  std::iota(stream.begin(), stream.end(), 1);
+  for (const char* kind : {"reservoir", "robust_sample", "bernoulli"}) {
+    SketchConfig config;
+    config.kind = kind;
+    config.capacity = 64;       // reservoir
+    config.probability = 0.25;  // bernoulli
+    config.seed = 7;
+    auto sketch = SketchRegistry<int64_t>::Global().Create(config);
+    sketch.InsertBatch(stream);
+    const auto sample = sketch.SampleView().elements;
+    ASSERT_FALSE(sample.empty()) << kind;
+    const auto [lo, hi] = std::minmax_element(sample.begin(), sample.end());
+    EXPECT_EQ(sketch.Quantile(0.0), static_cast<double>(*lo)) << kind;
+    EXPECT_EQ(sketch.Quantile(1.0), static_cast<double>(*hi)) << kind;
+    for (const double q : {std::numeric_limits<double>::quiet_NaN(), 1.5,
+                           -0.1}) {
+      EXPECT_DEATH(sketch.Quantile(q), "quantile q outside") << kind;
+    }
+  }
 }
 
 // --- batched insertion: exact bookkeeping -------------------------------

@@ -239,13 +239,133 @@ TEST(WireCodecTest, FramedBodyReadsV1Frames) {
   wire::PutVarint(sink, wire::kWireFormatV1);
   wire::PutVarint(sink, body.size());
   sink.Append(body.data(), body.size());
-  wire::PutFixed64(sink, wire::Checksum(body));
+  wire::PutFixed64(sink, wire::FrameChecksum(wire::kWireFormatV1, body));
   wire::BufferSource source(sink.bytes());
   std::vector<uint8_t> out;
   uint64_t version = 0;
   EXPECT_TRUE(wire::ReadFramedBody(source, "TEST", &out, nullptr, &version));
   EXPECT_EQ(out, body);
   EXPECT_EQ(version, wire::kWireFormatV1);
+}
+
+// b[i] = (7i + 3) mod 256: the known-answer input of the checksum tests.
+std::vector<uint8_t> ChecksumPattern(size_t n) {
+  std::vector<uint8_t> bytes(n);
+  for (size_t i = 0; i < n; ++i) bytes[i] = static_cast<uint8_t>(7 * i + 3);
+  return bytes;
+}
+
+// XXH64 with seed 0. The lengths cover the 1-, 4- and 8-byte tails and
+// the 32-byte stripes. zstd's frame content checksum is the low 32 bits
+// of the same hash (`zstd --check`, the frame's last 4 bytes,
+// little-endian), which re-derives these values without xxHash itself.
+TEST(WireCodecTest, FrameChecksumV3IsXxh64) {
+  const auto xxh64 = [](std::span<const uint8_t> bytes) {
+    return wire::FrameChecksum(wire::kWireFormatV3, bytes);
+  };
+  EXPECT_EQ(xxh64({}), 0xEF46DB3751D8E999ULL);
+  const uint8_t abc[] = {'a', 'b', 'c'};
+  EXPECT_EQ(xxh64(abc), 0x44BC2CF5AD770999ULL);
+  const std::pair<size_t, uint64_t> known[] = {
+      {1, 0x1F25C8D0BC1F4BB6ULL},    {4, 0x9BB64B7D66EE9FDAULL},
+      {8, 0xDAB99D95C6F90092ULL},    {31, 0xA2AA5F33CC4A6119ULL},
+      {32, 0x23C3C17EF790FD97ULL},   {33, 0x50A7CFC7BA588784ULL},
+      {100, 0xA61F8D4C170FE531ULL},  {1000, 0x5F235FA033F1A3FBULL}};
+  for (const auto& [n, digest] : known) {
+    EXPECT_EQ(xxh64(ChecksumPattern(n)), digest) << n << " bytes";
+  }
+}
+
+// Splits a v2/v3 frame by hand into its version, stored body and
+// trailing checksum.
+struct FrameParts {
+  uint64_t version = 0;
+  std::vector<uint8_t> stored;
+  uint64_t checksum = 0;
+};
+
+FrameParts SplitFrame(const std::vector<uint8_t>& frame) {
+  wire::BufferSource source(frame);
+  FrameParts parts;
+  char magic[4];
+  uint8_t encoding = 0;
+  uint64_t raw_len = 0, stored_len = 0;
+  EXPECT_TRUE(source.Read(magic, 4) &&
+              wire::GetVarint(source, &parts.version) &&
+              source.Read(&encoding, 1));
+  if (encoding != 0) {
+    EXPECT_TRUE(wire::GetVarint(source, &raw_len));
+  }
+  EXPECT_TRUE(wire::GetVarint(source, &stored_len));
+  parts.stored.resize(stored_len);
+  EXPECT_TRUE(source.Read(parts.stored.data(), stored_len) &&
+              wire::GetFixed64(source, &parts.checksum));
+  EXPECT_EQ(source.remaining(), uint64_t{0});
+  return parts;
+}
+
+// A v3 frame's trailing fixed64 is the XXH64 of its stored bytes, for
+// an uncompressed frame and, when zstd is compiled in, a compressed one.
+TEST(WireCodecTest, V3FrameCarriesTheXxh64OfItsStoredBody) {
+  const std::vector<uint8_t> body(4096, 0xAB);
+  for (const auto encoding :
+       {wire::BodyEncoding::kNone, wire::BodyEncoding::kZstd}) {
+    wire::BufferSink sink;
+    ASSERT_TRUE(wire::WriteFramedBody(sink, "TEST", body, encoding));
+    const FrameParts parts = SplitFrame(sink.bytes());
+    EXPECT_EQ(parts.version, wire::kWireFormatV3);
+    EXPECT_EQ(parts.checksum,
+              wire::FrameChecksum(wire::kWireFormatV3, parts.stored));
+    EXPECT_NE(parts.checksum,
+              wire::FrameChecksum(wire::kWireFormatV2, parts.stored));
+    if (encoding == wire::BodyEncoding::kNone || !wire::ZstdSupported()) {
+      EXPECT_EQ(parts.stored, body);
+    } else {
+      EXPECT_LT(parts.stored.size(), body.size());
+    }
+  }
+}
+
+// The version the header names picks the checksum: v2 bytes verify with
+// FNV-1a64 only and v3 bytes with XXH64 only.
+TEST(WireCodecTest, FrameVersionSelectsTheChecksum) {
+  const std::vector<uint8_t> body = ChecksumPattern(100);
+  const auto frame = [&](uint64_t version, uint64_t checksum) {
+    wire::BufferSink sink;
+    sink.Append("TEST", 4);
+    wire::PutVarint(sink, version);
+    const uint8_t encoding = 0;
+    sink.Append(&encoding, 1);
+    wire::PutVarint(sink, body.size());
+    sink.Append(body.data(), body.size());
+    wire::PutFixed64(sink, checksum);
+    return sink.TakeBytes();
+  };
+  const uint64_t fnv = wire::FrameChecksum(wire::kWireFormatV2, body);
+  const uint64_t xxh = wire::FrameChecksum(wire::kWireFormatV3, body);
+  ASSERT_NE(fnv, xxh);
+  {
+    const auto bytes = frame(wire::kWireFormatV2, fnv);
+    wire::BufferSource source(bytes);
+    std::vector<uint8_t> out;
+    uint64_t version = 0;
+    std::string error;
+    EXPECT_TRUE(wire::ReadFramedBody(source, "TEST", &out, &error, &version))
+        << error;
+    EXPECT_EQ(out, body);
+    EXPECT_EQ(version, wire::kWireFormatV2);
+  }
+  for (const auto& [version, checksum] :
+       {std::pair{wire::kWireFormatV3, fnv},
+        std::pair{wire::kWireFormatV2, xxh}}) {
+    const auto bytes = frame(version, checksum);
+    wire::BufferSource source(bytes);
+    std::vector<uint8_t> out;
+    std::string error;
+    EXPECT_FALSE(wire::ReadFramedBody(source, "TEST", &out, &error))
+        << "v" << version;
+    EXPECT_EQ(error, "checksum mismatch") << "v" << version;
+  }
 }
 
 TEST(WireCodecTest, UnknownBodyEncodingIsRejected) {
